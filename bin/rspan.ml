@@ -1168,26 +1168,16 @@ let heal_cmd =
                       Ok ())
                 in
                 if no_verify then write ()
-                else if Repair.pairs st <> Edge_set.to_list (Repair.build spec g') then
-                  Error
-                    (`Msg "healed spanner differs from the from-scratch build")
-                else begin
-                  Logs.app (fun m ->
-                      m "equivalence: healed spanner = from-scratch build");
-                  match Repair.alpha_beta spec with
-                  | Some (alpha, beta)
-                    when not (Verify.is_remote_spanner g' h ~alpha ~beta) ->
-                      Error
-                        (`Msg
-                          (Printf.sprintf
-                             "healed spanner violates the (%g, %g) stretch bound"
-                             alpha beta))
-                  | Some (alpha, beta) ->
-                      Logs.app (fun m ->
-                          m "verified: (%g, %g)-remote-spanner" alpha beta);
-                      write ()
-                  | None -> write ()
-                end)))))
+                else
+                  match Repair.check ~what:"heal" g' [ (spec, h) ] with
+                  | exception Failure msg -> Error (`Msg msg)
+                  | () ->
+                      Logs.app (fun m -> m "equivalence: healed spanner = from-scratch build");
+                      Option.iter
+                        (fun (alpha, beta) ->
+                          Logs.app (fun m -> m "verified: (%g, %g)-remote-spanner" alpha beta))
+                        (Repair.alpha_beta spec);
+                      write ())))))
   in
   let term =
     Term.(
@@ -1341,6 +1331,17 @@ let recover_cmd =
 (* ------------------------------------------------------------------ *)
 (* crashtest *)
 
+(* Run seeded harness suites in order and print each report; the
+   runner's misuse checks (Invalid_argument) are a one-line exit *)
+let run_suites ~failed suites =
+  catch_store @@ fun () ->
+  match List.map (fun (run, pp) -> (run (), pp)) suites with
+  | exception Invalid_argument m -> Error (`Msg m)
+  | reports ->
+      List.iter (fun (r, pp) -> Logs.app (fun m -> m "%a" pp r)) reports;
+      if List.for_all (fun (r, _) -> Rs_store.Harness.ok r) reports then Ok ()
+      else Error (`Msg failed)
+
 let crashtest_cmd =
   let module Crash = Rs_store.Crash in
   let seed =
@@ -1361,11 +1362,8 @@ let crashtest_cmd =
           ~doc:"Random cut points per torn-write family (WAL tails, snapshot truncations).")
   in
   let run () seed n batches sites dir =
-    catch_store @@ fun () ->
-    let report = Crash.run ~seed ~n ~batches ~sites ~dir () in
-    Logs.app (fun m -> m "%a" Crash.pp_report report);
-    if Crash.ok report then Ok ()
-    else Error (`Msg "crash injection uncovered recovery failures")
+    run_suites ~failed:"crash injection uncovered recovery failures"
+      [ ((fun () -> Crash.run ~seed ~n ~batches ~sites ~dir ()), Crash.pp_report) ]
   in
   let term =
     Term.(
@@ -1382,13 +1380,125 @@ let crashtest_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* serve *)
+(* serve / replica: one session *)
+
+module Service = Rs_serve.Service
+module Repl = Rs_net.Repl
+
+let ( let* ) = Result.bind
+
+let readers_arg =
+  Arg.(value & opt int 2 & info [ "readers" ] ~docv:"N" ~doc:"Reader domains answering queries.")
+
+(* --health-file, --script and --tcp: the same optional term in both
+   commands, each documented for its command *)
+let session_opt name ~docv doc = Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
+
+let parse_addr ~what = function
+  | None -> Ok None
+  | Some hp -> (
+      match Rs_net.Tcp.parse_hostport hp with
+      | Ok addr -> Ok (Some addr)
+      | Error e -> Error (`Msg (what ^ " " ^ e)))
+
+(* bind before opening any store or following any leader: a taken port
+   must be a one-line exit, not a half-initialized service *)
+let bind_addr ~cmd = function
+  | None -> Ok None
+  | Some (h, p) -> (
+      match Rs_net.Tcp.listen ~host:h ~port:p with
+      | Ok srv -> Ok (Some (h, p, srv))
+      | Error e -> Error (`Msg (cmd ^ ": " ^ e)))
+
+(* The running part of a serve or replica session. SIGTERM/SIGINT set
+   the stop flag from [ready] on and are restored after [finish] has
+   stopped the service. Lines come from the --script file, else from
+   stdin, polled so a signal lands between commands; on stdin EOF a
+   [resident] session keeps going until a signal or quit, any other
+   session ends. The stdin/script path and the TCP front evaluate lines
+   through the same Proto grammar, so replies are byte-identical on
+   either transport. [tick] runs before every line and every poll. *)
+let session ~cmd ~service ~ready ~on_delta ~status_suffix ~bound ~store_dir ~announce ~script
+    ~resident ?(tick = ignore) ~finish () =
+  let stop = Atomic.make false in
+  let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+  let old_term = Sys.signal Sys.sigterm handler in
+  let old_int = Sys.signal Sys.sigint handler in
+  ready ();
+  let env =
+    { Rs_net.Proto.service; on_delta; stopped = (fun () -> Atomic.get stop); status_suffix }
+  in
+  let front =
+    Option.bind bound (fun (host, port, server) ->
+        match Repl.lead ~proto_env:env ~server ~service ~store_dir ~host ~port () with
+        | Ok ld ->
+            Logs.app (fun m -> m "%s: %s" cmd (announce host ld));
+            Some ld
+        | Error e ->
+            Logs.err (fun m -> m "%s: tcp failed: %s" cmd e);
+            None)
+  in
+  let quit = ref false in
+  let exec line =
+    match Rs_net.Proto.exec env line with
+    | Rs_net.Proto.Silent -> ()
+    | Rs_net.Proto.Quit -> quit := true
+    | Rs_net.Proto.Reply r ->
+        print_endline r;
+        flush stdout
+  in
+  (match script with
+  | Some file ->
+      let rec go = function
+        | [] -> ()
+        | l :: rest ->
+            tick ();
+            if not (Atomic.get stop) then begin
+              exec l;
+              if not !quit then go rest
+            end
+      in
+      go (In_channel.with_open_text file In_channel.input_lines)
+  | None ->
+      let buf = Buffer.create 256 in
+      let chunk = Bytes.create 4096 in
+      let rec lines () =
+        let s = Buffer.contents buf in
+        match String.index_opt s '\n' with
+        | None -> ()
+        | Some i ->
+            Buffer.clear buf;
+            Buffer.add_string buf (String.sub s (i + 1) (String.length s - i - 1));
+            exec (String.sub s 0 i);
+            if not !quit then lines ()
+      in
+      let rec loop stdin_open =
+        tick ();
+        if not (!quit || Atomic.get stop) then
+          if not stdin_open then begin
+            Unix.sleepf 0.1;
+            loop false
+          end
+          else
+            match Unix.select [ Unix.stdin ] [] [] 0.1 with
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop true
+            | [], _, _ -> loop true
+            | _ ->
+                let k = Unix.read Unix.stdin chunk 0 (Bytes.length chunk) in
+                if k > 0 then begin
+                  Buffer.add_subbytes buf chunk 0 k;
+                  lines ();
+                  loop true
+                end
+                else if resident then loop false
+      in
+      loop true);
+  Option.iter Repl.stop_leader front;
+  finish ();
+  Sys.set_signal Sys.sigterm old_term;
+  Sys.set_signal Sys.sigint old_int
 
 let serve_cmd =
-  let module Service = Rs_serve.Service in
-  let readers_arg =
-    Arg.(value & opt int 2 & info [ "readers" ] ~docv:"N" ~doc:"Reader domains answering queries.")
-  in
   let queue_arg =
     Arg.(
       value & opt int 256
@@ -1422,13 +1532,9 @@ let serve_cmd =
           ~doc:"Writer heartbeat staleness declaring it wedged; 0 disables the watchdog.")
   in
   let health_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "health-file" ] ~docv:"FILE"
-          ~doc:
-            "Continuously publish a one-line liveness/readiness probe to $(docv) \
-             (written by temp-file-plus-rename, so probes never read a torn line).")
+    session_opt "health-file" ~docv:"FILE"
+      "Continuously publish a one-line liveness/readiness probe to $(docv) (written \
+       by temp-file-plus-rename, so probes never read a torn line)."
   in
   let ephemeral_arg =
     Arg.(
@@ -1439,23 +1545,15 @@ let serve_cmd =
              allowed. Conflicts with --wal.")
   in
   let script_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "script" ] ~docv:"FILE"
-          ~doc:"Read serve commands from $(docv) instead of stdin, then drain and exit.")
+    session_opt "script" ~docv:"FILE"
+      "Read serve commands from $(docv) instead of stdin, then drain and exit."
   in
   let graph_opt = Arg.(value & pos 0 (some string) None & info [] ~docv:"GRAPH" ~doc:"Initial topology (omit to recover state from --wal).") in
   let tcp_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tcp" ] ~docv:"HOST:PORT"
-          ~doc:
-            "Also serve over TCP at $(docv) (port 0 picks one): query \
-             sessions speak the same line protocol, and with --wal the \
-             endpoint additionally ships snapshots and streams WAL records \
-             to replicas ($(b,rspan replica), $(b,rspan ship)).")
+    session_opt "tcp" ~docv:"HOST:PORT"
+      "Also serve over TCP at $(docv) (port 0 picks one): query sessions speak the \
+       same line protocol, and with --wal the endpoint additionally ships snapshots \
+       and streams WAL records to replicas ($(b,rspan replica), $(b,rspan ship))."
   in
   let run () algo eps k readers queue deadline budget trips watchdog health_file
       ephemeral script tcp wal fsync graph_file =
@@ -1471,160 +1569,56 @@ let serve_cmd =
     else if ephemeral && wal <> None then
       Error (`Msg "serve: --ephemeral conflicts with --wal (pick one state backend)")
     else
-      match
-        match tcp with
-        | None -> Ok None
-        | Some hp -> (
-            match Rs_net.Tcp.parse_hostport hp with
-            | Ok (h, p) -> Ok (Some (h, p))
-            | Error e -> Error (`Msg ("serve: --tcp " ^ e)))
-      with
-      | Error e -> Error e
-      | Ok tcp_addr -> (
-      match resolve_fsync ~wal fsync with
-      | Error e -> Error e
-      | Ok fsync -> (
-          match repair_spec_of algo ~eps ~k with
-          | Error e -> Error e
-          | Ok spec -> (
-              (* bind before opening any store: a taken port must be a
-                 one-line exit, not a half-initialized service *)
-              match
-                match tcp_addr with
-                | None -> Ok None
-                | Some (h, p) -> (
-                    match Rs_net.Tcp.listen ~host:h ~port:p with
-                    | Ok srv -> Ok (Some (h, p, srv))
-                    | Error e -> Error (`Msg ("serve: " ^ e)))
-              with
-              | Error e -> Error e
-              | Ok bound -> (
-              let serve backend =
-                let cfg =
-                  { Service.default_config with
-                    readers; ingest_capacity = queue; request_capacity = queue;
-                    deadline_s = deadline; repair_budget_s = budget;
-                    breaker_trips = trips; watchdog_s = watchdog; health_file }
-                in
-                let svc = Service.start cfg backend in
-                let stop_flag = Atomic.make false in
-                let handler = Sys.Signal_handle (fun _ -> Atomic.set stop_flag true) in
-                let old_term = Sys.signal Sys.sigterm handler in
-                let old_int = Sys.signal Sys.sigint handler in
-                let g0, _ = Service.peek svc in
-                Logs.app (fun m ->
-                    m "serve: ready at seq %d (n=%d m=%d, readers=%d)"
-                      (Service.view_seq svc) (Graph.n g0) (Graph.m g0) readers);
-                (* the stdin/script path and the TCP path evaluate lines
-                   through the same Proto grammar, so replies are
-                   byte-identical on either transport *)
-                let env =
-                  { Rs_net.Proto.service = svc;
-                    on_delta = (fun d -> Service.offer svc d);
-                    stopped = (fun () -> Atomic.get stop_flag);
-                    status_suffix = (fun () -> "") }
-                in
-                let ld =
-                  match bound with
-                  | None -> None
-                  | Some (h, p, srv) -> (
-                      match
-                        Rs_net.Repl.lead ~proto_env:env ~server:srv ~service:svc
-                          ~store_dir:wal ~host:h ~port:p ()
-                      with
-                      | Ok ld ->
-                          Logs.app (fun m ->
-                              m "serve: tcp on %s:%d (epoch %d, %s)" h
-                                (Rs_net.Repl.leader_port ld)
-                                (Rs_net.Repl.leader_epoch ld)
-                                (if wal = None then "queries only"
-                                 else "replication on"));
-                          Some ld
-                      | Error e ->
-                          Logs.err (fun m -> m "serve: tcp failed: %s" e);
-                          None)
-                in
-                let exec line =
-                  match Rs_net.Proto.exec env line with
-                  | Rs_net.Proto.Silent -> `Continue
-                  | Rs_net.Proto.Quit -> `Quit
-                  | Rs_net.Proto.Reply r ->
-                      print_endline r;
-                      flush stdout;
-                      `Continue
-                in
-                (match script with
-                | Some file ->
-                    let lines = In_channel.with_open_text file In_channel.input_lines in
-                    let rec go = function
-                      | [] -> ()
-                      | l :: rest ->
-                          if Atomic.get stop_flag then ()
-                          else if exec l = `Quit then ()
-                          else go rest
-                    in
-                    go lines
-                | None ->
-                    (* stdin, interruptible: poll so SIGTERM lands between
-                       commands and the drain-snapshot-exit path runs *)
-                    let buf = Buffer.create 256 in
-                    let chunk = Bytes.create 4096 in
-                    let quit = ref false in
-                    let feed k =
-                      Buffer.add_subbytes buf chunk 0 k;
-                      let rec lines () =
-                        let s = Buffer.contents buf in
-                        match String.index_opt s '\n' with
-                        | None -> ()
-                        | Some i ->
-                            Buffer.clear buf;
-                            Buffer.add_string buf
-                              (String.sub s (i + 1) (String.length s - i - 1));
-                            if exec (String.sub s 0 i) = `Quit then quit := true
-                            else lines ()
-                      in
-                      lines ()
-                    in
-                    let rec loop () =
-                      if not (!quit || Atomic.get stop_flag) then
-                        match Unix.select [ Unix.stdin ] [] [] 0.1 with
-                        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-                        | [], _, _ -> loop ()
-                        | _ ->
-                            let k = Unix.read Unix.stdin chunk 0 (Bytes.length chunk) in
-                            if k > 0 then begin
-                              feed k;
-                              loop ()
-                            end
-                    in
-                    loop ());
-                Option.iter Rs_net.Repl.stop_leader ld;
-                let st = Service.stop svc in
-                Sys.set_signal Sys.sigterm old_term;
-                Sys.set_signal Sys.sigint old_int;
-                Logs.app (fun m ->
-                    m
-                      "serve: drained and stopped at seq %d (accepted %d, rejected \
-                       %d, timeouts %d, stale reads %d)"
-                      st.Service.s_seq st.Service.s_accepted st.Service.s_rejected
-                      st.Service.s_timeouts st.Service.s_stale_reads);
-                Ok ()
-              in
-              match (wal, graph_file) with
-              | None, None ->
-                  Error (`Msg "serve: need a GRAPH file or --wal STORE to serve from")
-              | None, Some file ->
-                  with_graph file @@ fun g ->
-                  serve (Service.Ephemeral { specs = [ spec ]; g })
-              | Some dir, Some file ->
-                  with_graph file @@ fun g ->
-                  catch_store @@ fun () ->
-                  serve (Service.Durable (Store.create ~policy:fsync ~dir ~specs:[ spec ] g))
-              | Some dir, None ->
-                  catch_store @@ fun () ->
-                  let store, r = Store.recover ~policy:fsync ~verify:true ~dir () in
-                  Logs.app (fun m -> m "%a" Store.pp_recovery r);
-                  serve (Service.Durable store)))))
+      let* tcp = parse_addr ~what:"serve: --tcp" tcp in
+      let* fsync = resolve_fsync ~wal fsync in
+      let* spec = repair_spec_of algo ~eps ~k in
+      let* bound = bind_addr ~cmd:"serve" tcp in
+      let serve backend =
+        let cfg =
+          { Service.default_config with
+            readers; ingest_capacity = queue; request_capacity = queue;
+            deadline_s = deadline; repair_budget_s = budget;
+            breaker_trips = trips; watchdog_s = watchdog; health_file }
+        in
+        let svc = Service.start cfg backend in
+        session ~cmd:"serve" ~service:svc
+          ~ready:(fun () ->
+            let g0, _ = Service.peek svc in
+            Logs.app (fun m ->
+                m "serve: ready at seq %d (n=%d m=%d, readers=%d)" (Service.view_seq svc)
+                  (Graph.n g0) (Graph.m g0) readers))
+          ~on_delta:(Service.offer svc)
+          ~status_suffix:(fun () -> "")
+          ~bound ~store_dir:wal
+          ~announce:(fun h ld ->
+            Printf.sprintf "tcp on %s:%d (epoch %d, %s)" h (Repl.leader_port ld)
+              (Repl.leader_epoch ld)
+              (if wal = None then "queries only" else "replication on"))
+          ~script ~resident:false
+          ~finish:(fun () ->
+            let st = Service.stop svc in
+            Logs.app (fun m ->
+                m
+                  "serve: drained and stopped at seq %d (accepted %d, rejected %d, \
+                   timeouts %d, stale reads %d)"
+                  st.Service.s_seq st.Service.s_accepted st.Service.s_rejected
+                  st.Service.s_timeouts st.Service.s_stale_reads))
+          ();
+        Ok ()
+      in
+      match (wal, graph_file) with
+      | None, None -> Error (`Msg "serve: need a GRAPH file or --wal STORE to serve from")
+      | None, Some file ->
+          with_graph file @@ fun g -> serve (Service.Ephemeral { specs = [ spec ]; g })
+      | Some dir, Some file ->
+          with_graph file @@ fun g ->
+          catch_store @@ fun () ->
+          serve (Service.Durable (Store.create ~policy:fsync ~dir ~specs:[ spec ] g))
+      | Some dir, None ->
+          catch_store @@ fun () ->
+          let store, r = Store.recover ~policy:fsync ~verify:true ~dir () in
+          Logs.app (fun m -> m "%a" Store.pp_recovery r);
+          serve (Service.Durable store)
   in
   let term =
     Term.(
@@ -1653,27 +1647,13 @@ let serve_cmd =
 (* replica *)
 
 let replica_cmd =
-  let module Service = Rs_serve.Service in
-  let module Repl = Rs_net.Repl in
-  let module Proto = Rs_net.Proto in
   let follow_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "follow" ] ~docv:"HOST:PORT"
-          ~doc:"The leader to follow (required).")
+    session_opt "follow" ~docv:"HOST:PORT" "The leader to follow (required)."
   in
   let tcp_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tcp" ] ~docv:"HOST:PORT"
-          ~doc:
-            "Serve read-only queries over TCP at $(docv); delta lines are \
-             refused with a pointer to the leader.")
-  in
-  let readers_arg =
-    Arg.(value & opt int 2 & info [ "readers" ] ~docv:"N" ~doc:"Reader domains answering queries.")
+    session_opt "tcp" ~docv:"HOST:PORT"
+      "Serve read-only queries over TCP at $(docv); delta lines are refused with a \
+       pointer to the leader."
   in
   let retries_arg =
     Arg.(
@@ -1695,207 +1675,72 @@ let replica_cmd =
              leader's stream is refused from then on.")
   in
   let health_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "health-file" ] ~docv:"FILE"
-          ~doc:
-            "Continuously publish a one-line liveness probe with the replica \
-             suffix (leader_seq, lag, connected, epoch) to $(docv), written \
-             by temp-file-plus-rename.")
+    session_opt "health-file" ~docv:"FILE"
+      "Continuously publish a one-line liveness probe with the replica suffix \
+       (leader_seq, lag, connected, epoch) to $(docv), written by \
+       temp-file-plus-rename."
   in
   let script_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "script" ] ~docv:"FILE"
-          ~doc:"Read query commands from $(docv), then stop. Without it the \
-                replica is resident: it follows until SIGTERM (stdin commands \
-                are answered; EOF on stdin keeps it serving).")
+    session_opt "script" ~docv:"FILE"
+      "Read query commands from $(docv), then stop. Without it the replica is \
+       resident: it follows until SIGTERM (stdin commands are answered; EOF on stdin \
+       keeps it serving)."
   in
   let run () follow tcp readers retries promote health_file script wal fsync =
     (* misuse exits in one line before any network or store I/O *)
-    match follow with
-    | None ->
-        Error (`Msg "replica: --follow HOST:PORT is required (a replica needs a leader)")
-    | Some follow -> (
-        if wal = None then
-          Error (`Msg "replica: --follow needs --wal DIR (the replica's own durable store)")
-        else if readers < 1 then Error (`Msg "replica: --readers must be >= 1")
+    match (follow, wal) with
+    | None, _ -> Error (`Msg "replica: --follow HOST:PORT is required (a replica needs a leader)")
+    | _, None ->
+        Error (`Msg "replica: --follow needs --wal DIR (the replica's own durable store)")
+    | Some _, Some dir ->
+        if readers < 1 then Error (`Msg "replica: --readers must be >= 1")
         else if retries < 1 then Error (`Msg "replica: --max-retries must be >= 1")
         else
-          match Rs_net.Tcp.parse_hostport follow with
-          | Error e -> Error (`Msg ("replica: --follow " ^ e))
-          | Ok (lhost, lport) -> (
-              match
-                match tcp with
-                | None -> Ok None
-                | Some hp -> (
-                    match Rs_net.Tcp.parse_hostport hp with
-                    | Ok (h, p) -> Ok (Some (h, p))
-                    | Error e -> Error (`Msg ("replica: --tcp " ^ e)))
-              with
-              | Error e -> Error e
-              | Ok tcp_addr -> (
-                  match resolve_fsync ~wal fsync with
-                  | Error e -> Error e
-                  | Ok fsync -> (
-                      let dir = Option.get wal in
-                      (* bind before following: a taken port must be a
-                         one-line exit before any snapshot is shipped *)
-                      match
-                        match tcp_addr with
-                        | None -> Ok None
-                        | Some (h, p) -> (
-                            match Rs_net.Tcp.listen ~host:h ~port:p with
-                            | Ok srv -> Ok (Some (h, p, srv))
-                            | Error e -> Error (`Msg ("replica: " ^ e)))
-                      with
-                      | Error e -> Error e
-                      | Ok bound -> (
-                          catch_store @@ fun () ->
-                          let cfg =
-                            { (Repl.default_replica_config ()) with
-                              Repl.max_retries = retries; fsync }
-                          in
-                          let service_config = { Service.default_config with readers } in
-                          match
-                            Repl.follow ~config:cfg ?health_file ~service_config
-                              ~dir ~host:lhost ~port:lport ()
-                          with
-                          | Error e -> Error (`Msg ("replica: " ^ e))
-                          | Ok r ->
-                              let svc = Repl.replica_service r in
-                              let stop_flag = Atomic.make false in
-                              let handler =
-                                Sys.Signal_handle (fun _ -> Atomic.set stop_flag true)
-                              in
-                              let old_term = Sys.signal Sys.sigterm handler in
-                              let old_int = Sys.signal Sys.sigint handler in
-                              Logs.app (fun m ->
-                                  m "replica: following %s:%d into %s (seq %d, epoch %d)"
-                                    lhost lport dir (Service.view_seq svc)
-                                    (Repl.replica_epoch r));
-                              let env =
-                                { Proto.service = svc;
-                                  on_delta =
-                                    (fun _ ->
-                                      Error
-                                        (Printf.sprintf
-                                           "replica is read-only: offer deltas to the \
-                                            leader at %s:%d"
-                                           lhost lport));
-                                  stopped = (fun () -> Atomic.get stop_flag);
-                                  status_suffix = (fun () -> Repl.status_suffix r) }
-                              in
-                              let ld =
-                                match bound with
-                                | None -> None
-                                | Some (h, p, srv) -> (
-                                    match
-                                      Repl.lead ~proto_env:env ~server:srv ~service:svc
-                                        ~store_dir:None ~host:h ~port:p ()
-                                    with
-                                    | Ok ld ->
-                                        Logs.app (fun m ->
-                                            m "replica: tcp queries on %s:%d" h
-                                              (Repl.leader_port ld));
-                                        Some ld
-                                    | Error e ->
-                                        Logs.err (fun m -> m "replica: tcp failed: %s" e);
-                                        None)
-                              in
-                              let promoted = ref false in
-                              let tick () =
-                                if promote && (not !promoted) && Repl.gave_up r then begin
-                                  let e = Repl.promote r in
-                                  promoted := true;
-                                  Logs.app (fun m ->
-                                      m
-                                        "replica: leader lost after %d retries; promoted \
-                                         to epoch %d at seq %d"
-                                        retries e (Service.view_seq svc))
-                                end
-                              in
-                              let exec line =
-                                match Proto.exec env line with
-                                | Proto.Silent -> `Continue
-                                | Proto.Quit -> `Quit
-                                | Proto.Reply rep ->
-                                    print_endline rep;
-                                    flush stdout;
-                                    `Continue
-                              in
-                              (match script with
-                              | Some file ->
-                                  let lines =
-                                    In_channel.with_open_text file In_channel.input_lines
-                                  in
-                                  let rec go = function
-                                    | [] -> ()
-                                    | l :: rest ->
-                                        tick ();
-                                        if Atomic.get stop_flag then ()
-                                        else if exec l = `Quit then ()
-                                        else go rest
-                                  in
-                                  go lines
-                              | None ->
-                                  (* resident: poll stdin for commands but keep
-                                     following after EOF — only a signal (or an
-                                     explicit quit) ends a replica *)
-                                  let buf = Buffer.create 256 in
-                                  let chunk = Bytes.create 4096 in
-                                  let quit = ref false in
-                                  let stdin_open = ref true in
-                                  let feed k =
-                                    Buffer.add_subbytes buf chunk 0 k;
-                                    let rec lines () =
-                                      let s = Buffer.contents buf in
-                                      match String.index_opt s '\n' with
-                                      | None -> ()
-                                      | Some i ->
-                                          Buffer.clear buf;
-                                          Buffer.add_string buf
-                                            (String.sub s (i + 1) (String.length s - i - 1));
-                                          if exec (String.sub s 0 i) = `Quit then
-                                            quit := true
-                                          else lines ()
-                                    in
-                                    lines ()
-                                  in
-                                  let rec loop () =
-                                    tick ();
-                                    if not (!quit || Atomic.get stop_flag) then
-                                      if not !stdin_open then begin
-                                        Unix.sleepf 0.1;
-                                        loop ()
-                                      end
-                                      else
-                                        match Unix.select [ Unix.stdin ] [] [] 0.1 with
-                                        | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                                            loop ()
-                                        | [], _, _ -> loop ()
-                                        | _ ->
-                                            let k =
-                                              Unix.read Unix.stdin chunk 0
-                                                (Bytes.length chunk)
-                                            in
-                                            if k > 0 then feed k else stdin_open := false;
-                                            loop ()
-                                  in
-                                  loop ());
-                              Option.iter Repl.stop_leader ld;
-                              let st = Repl.stop_replica r in
-                              Sys.set_signal Sys.sigterm old_term;
-                              Sys.set_signal Sys.sigint old_int;
-                              Logs.app (fun m ->
-                                  m
-                                    "replica: stopped at seq %d (applied %d, stale reads \
-                                     %d, epoch %d)"
-                                    st.Service.s_seq st.Service.s_accepted
-                                    st.Service.s_stale_reads (Repl.replica_epoch r));
-                              Ok ())))))
+          let* leader = parse_addr ~what:"replica: --follow" follow in
+          let lhost, lport = Option.get leader in
+          let* tcp = parse_addr ~what:"replica: --tcp" tcp in
+          let* fsync = resolve_fsync ~wal fsync in
+          let* bound = bind_addr ~cmd:"replica" tcp in
+          catch_store @@ fun () ->
+          let cfg = { (Repl.default_replica_config ()) with Repl.max_retries = retries; fsync } in
+          let service_config = { Service.default_config with readers } in
+          match
+            Repl.follow ~config:cfg ?health_file ~service_config ~dir ~host:lhost ~port:lport ()
+          with
+          | Error e -> Error (`Msg ("replica: " ^ e))
+          | Ok r ->
+              let svc = Repl.replica_service r in
+              let promoted = ref false in
+              let tick () =
+                if promote && (not !promoted) && Repl.gave_up r then begin
+                  let e = Repl.promote r in
+                  promoted := true;
+                  Logs.app (fun m ->
+                      m "replica: leader lost after %d retries; promoted to epoch %d at seq %d"
+                        retries e (Service.view_seq svc))
+                end
+              in
+              session ~cmd:"replica" ~service:svc
+                ~ready:(fun () ->
+                  Logs.app (fun m ->
+                      m "replica: following %s:%d into %s (seq %d, epoch %d)" lhost lport dir
+                        (Service.view_seq svc) (Repl.replica_epoch r)))
+                ~on_delta:(fun _ ->
+                  Error
+                    (Printf.sprintf
+                       "replica is read-only: offer deltas to the leader at %s:%d" lhost lport))
+                ~status_suffix:(fun () -> Repl.status_suffix r)
+                ~bound ~store_dir:None
+                ~announce:(fun h ld -> Printf.sprintf "tcp queries on %s:%d" h (Repl.leader_port ld))
+                ~script ~resident:true ~tick
+                ~finish:(fun () ->
+                  let st = Repl.stop_replica r in
+                  Logs.app (fun m ->
+                      m "replica: stopped at seq %d (applied %d, stale reads %d, epoch %d)"
+                        st.Service.s_seq st.Service.s_accepted st.Service.s_stale_reads
+                        (Repl.replica_epoch r)))
+                ();
+              Ok ()
   in
   let term =
     Term.(
@@ -1920,7 +1765,6 @@ let replica_cmd =
 (* ship *)
 
 let ship_cmd =
-  let module Repl = Rs_net.Repl in
   let hp_arg =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"HOST:PORT" ~doc:"Leader address.")
   in
@@ -1989,39 +1833,14 @@ let chaostest_cmd =
           (`Msg
              (Printf.sprintf "chaostest: unknown scenario %s (known: %s)" s
                 (String.concat ", " known)))
-    | _ -> (
-        let run_service =
-          match scenario with None -> true | Some s -> List.mem s Chaos.names
-        in
-        let run_net =
-          match scenario with None -> true | Some s -> List.mem s Net_chaos.names
-        in
-        catch_store @@ fun () ->
-        match
-          let svc_report =
-            if run_service then Some (Chaos.run ~seed ~n ~batches ?only:scenario ~dir ())
-            else None
-          in
-          let net_report =
-            if run_net then
-              Some (Net_chaos.run ~seed ~n ~batches ?only:scenario ~dir ())
-            else None
-          in
-          (svc_report, net_report)
-        with
-        | exception Invalid_argument m -> Error (`Msg m)
-        | svc_report, net_report ->
-            Option.iter
-              (fun rep -> Logs.app (fun m -> m "%a" Chaos.pp_report rep))
-              svc_report;
-            Option.iter
-              (fun rep -> Logs.app (fun m -> m "%a" Net_chaos.pp_report rep))
-              net_report;
-            let ok =
-              Option.fold ~none:true ~some:Chaos.ok svc_report
-              && Option.fold ~none:true ~some:Net_chaos.ok net_report
-            in
-            if ok then Ok () else Error (`Msg "chaos uncovered failures"))
+    | _ ->
+        [ (Chaos.names, Chaos.run, Chaos.pp_report);
+          (Net_chaos.names, Net_chaos.run, Net_chaos.pp_report) ]
+        |> List.filter (fun (names, _, _) ->
+               Option.fold ~none:true ~some:(fun s -> List.mem s names) scenario)
+        |> List.map (fun (_, run, pp) ->
+               ((fun () -> run ?specs:None ?only:scenario ~seed ~n ~batches ~dir ()), pp))
+        |> run_suites ~failed:"chaos uncovered failures"
   in
   let term =
     Term.(term_result (const run $ obs_term $ seed $ n $ batches $ scenario $ store_pos))

@@ -163,6 +163,21 @@ let init spec g =
 
 let build spec g = spanner (init spec g)
 
+let check ~what g spanners =
+  List.iter
+    (fun (spec, sp) ->
+      if Edge_set.to_list sp <> Edge_set.to_list (build spec g) then
+        failwith
+          (Format.asprintf "%s: %a spanner diverges from a from-scratch build" what pp_spec
+             spec);
+      match alpha_beta spec with
+      | Some (alpha, beta) when not (Rs_core.Verify.is_remote_spanner g sp ~alpha ~beta) ->
+          failwith
+            (Format.asprintf "%s: %a spanner violates its (%g, %g) guarantee" what pp_spec
+               spec alpha beta)
+      | _ -> ())
+    spanners
+
 let export_trees st = Array.copy st.tree_edges
 
 let restore spec g ~trees =

@@ -59,6 +59,14 @@ val build : spec -> Graph.t -> Edge_set.t
 (** From-scratch union of the spec's trees over all roots — the
     reference the repaired spanner is checked against. *)
 
+val check : what:string -> Graph.t -> (spec * Edge_set.t) list -> unit
+(** The end-state oracle every gate in the repo applies to a published
+    view: each spanner must equal [build spec g] edge for edge and, when
+    {!alpha_beta} gives a bound, pass {!Rs_core.Verify.is_remote_spanner}
+    at it (the union of valid dominating trees is a remote-spanner,
+    Props. 1/4/5). Raises [Failure] naming [what] and the spec
+    otherwise. *)
+
 (** {1 Maintained state} *)
 
 type t

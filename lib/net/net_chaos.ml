@@ -4,148 +4,15 @@ module Service = Rs_serve.Service
 module Store = Rs_store.Store
 module Wal = Rs_store.Wal
 module Snapshot = Rs_store.Snapshot
-module Verify = Rs_core.Verify
-
-let names =
-  [ "partition-mid-stream"; "torn-snapshot-ship"; "slow-replica-overflow";
-    "replica-restart-resume"; "leader-kill-promote" ]
-
-type failure = { scenario : string; reason : string }
-
-type report = {
-  scenarios : int;
-  queries_ok : int;
-  stale_served : int;
-  reconnects : int;
-  disconnects : int;
-  failures : failure list;
-}
-
-let ok r = r.scenarios > 0 && r.failures = []
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "@[<v>net chaos scenarios: %d (%d queries answered, %d stale-flagged, %d \
-     reconnects, %d reasoned disconnects)"
-    r.scenarios r.queries_ok r.stale_served r.reconnects r.disconnects;
-  List.iter
-    (fun f -> Format.fprintf fmt "@,FAIL %s: %s" f.scenario f.reason)
-    r.failures;
-  Format.fprintf fmt "@]"
-
-(* {1 Filesystem scratchpads} — the flat-directory helpers every
-   harness in this repo uses; store directories hold no subdirectories *)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let copy_dir src dst =
-  rm_rf dst;
-  mkdir_p dst;
-  Array.iter
-    (fun name ->
-      let data = In_channel.with_open_bin (Filename.concat src name) In_channel.input_all in
-      Out_channel.with_open_bin (Filename.concat dst name) (fun oc ->
-          Out_channel.output_string oc data))
-    (Sys.readdir src)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+module Chaos = Rs_serve.Chaos
+open Rs_store.Harness
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* {1 Random churn} — the same op mix the in-process chaos harness
-   drives, so network scenarios exercise the same delta space *)
-
-let random_op rand g =
-  let n = Graph.n g in
-  let m = Graph.m g in
-  let pick () = Rand.int rand n in
-  match Rand.int rand 100 with
-  | r when r < 45 || m = 0 ->
-      let rec go tries =
-        let u = pick () and v = pick () in
-        if u = v then go tries
-        else if Graph.mem_edge g u v && tries > 0 then go (tries - 1)
-        else Delta.Add_edge (u, v)
-      in
-      go 8
-  | r when r < 80 ->
-      let u, v = Graph.edge g (Rand.int rand m) in
-      Delta.Remove_edge (u, v)
-  | r when r < 90 -> Delta.Node_down (pick ())
-  | _ ->
-      let u = pick () in
-      let links =
-        List.init
-          (1 + Rand.int rand 3)
-          (fun _ ->
-            let rec go () =
-              let v = pick () in
-              if v = u then go () else v
-            in
-            go ())
-        |> List.sort_uniq compare
-      in
-      Delta.Node_up (u, links)
-
-let random_delta rand g =
-  let rec go tries =
-    let ops = List.init (1 + Rand.int rand 3) (fun _ -> random_op rand g) in
-    match Delta.effect g ops with
-    | [], [] when tries > 0 -> go (tries - 1)
-    | _ -> ops
-  in
-  go 16
-
 (* {1 Gates} *)
-
-let wait_until ?(timeout = 20.0) ~what pred =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    if pred () then ()
-    else if Unix.gettimeofday () -. t0 > timeout then
-      failwith ("timed out waiting for " ^ what)
-    else begin
-      Unix.sleepf 0.002;
-      go ()
-    end
-  in
-  go ()
-
-(* The recovery gate, applied to the replica's live view: its spanners
-   must equal a from-scratch build on its graph and honor the paper
-   guarantee — streamed deltas through [Repair.apply] land exactly
-   where the leader landed. *)
-let verify_state ~what g spanners =
-  List.iter
-    (fun (spec, sp) ->
-      if Edge_set.to_list sp <> Edge_set.to_list (Repair.build spec g) then
-        failwith
-          (Format.asprintf "%s: %a spanner diverges from a from-scratch build"
-             what Repair.pp_spec spec);
-      match Repair.alpha_beta spec with
-      | Some (alpha, beta) ->
-          if not (Verify.is_remote_spanner g sp ~alpha ~beta) then
-            failwith
-              (Format.asprintf "%s: %a spanner violates its (%.1f, %.1f) guarantee"
-                 what Repair.pp_spec spec alpha beta)
-      | None -> ())
-    spanners
 
 (* Both directories must recover to the same state; the snapshot
    encoding is deterministic, so equal states have equal bytes. *)
@@ -165,70 +32,6 @@ let gate_byte_identical ~what dir_a dir_b =
       (Printf.sprintf "%s: stores recover to different seqs (%d vs %d)" what sa sb);
   if not (String.equal va vb) then
     failwith (Printf.sprintf "%s: stores at seq %d are not byte-identical" what sa)
-
-(* {1 Concurrent client load} — reader traffic against the replica's
-   service during every disruption; a [Bad_request] is a harness
-   failure, timeouts and overload rejections are not *)
-
-type clients = {
-  cl_served : int Atomic.t;
-  cl_stale : int Atomic.t;
-  cl_soft : int Atomic.t;
-  cl_bad_m : Mutex.t;
-  mutable cl_bad : string list;
-  cl_stop : bool Atomic.t;
-  mutable cl_domains : unit Domain.t array;
-}
-
-let spawn_clients svc ~seed ~n ~count =
-  let cl =
-    { cl_served = Atomic.make 0; cl_stale = Atomic.make 0; cl_soft = Atomic.make 0;
-      cl_bad_m = Mutex.create (); cl_bad = []; cl_stop = Atomic.make false;
-      cl_domains = [||] }
-  in
-  cl.cl_domains <-
-    Array.init count (fun i ->
-        Domain.spawn (fun () ->
-            let rand = Rand.create (seed + (7919 * (i + 1))) in
-            while not (Atomic.get cl.cl_stop) do
-              let q =
-                match Rand.int rand 4 with
-                | 0 -> Service.Stats
-                | 1 -> Service.Status
-                | 2 -> Service.Route { src = Rand.int rand n; dst = Rand.int rand n }
-                | _ -> Service.Advert (Rand.int rand n)
-              in
-              let r = Service.query ~deadline_s:2.0 svc q in
-              (match r.Service.answer with
-              | Ok _ ->
-                  Atomic.incr cl.cl_served;
-                  if r.Service.stale then Atomic.incr cl.cl_stale
-              | Error (Service.Timeout | Service.Overloaded _) ->
-                  Atomic.incr cl.cl_soft
-              | Error (Service.Bad_request m) ->
-                  Mutex.lock cl.cl_bad_m;
-                  cl.cl_bad <- m :: cl.cl_bad;
-                  Mutex.unlock cl.cl_bad_m);
-              Unix.sleepf 0.001
-            done));
-  cl
-
-let join_clients cl =
-  Atomic.set cl.cl_stop true;
-  Array.iter Domain.join cl.cl_domains;
-  match cl.cl_bad with
-  | [] -> ()
-  | m :: _ ->
-      failwith
-        (Printf.sprintf "clients saw %d Bad_request responses (e.g. %s)"
-           (List.length cl.cl_bad) m)
-
-type outcome = {
-  o_queries : int;
-  o_stale : int;
-  o_reconnects : int;
-  o_disconnects : int;
-}
 
 (* {1 Shared scaffolding} *)
 
@@ -298,7 +101,7 @@ let gate_replica ~what r expected_g =
   let g, spanners = Service.peek svc in
   if not (Graph.equal g expected_g) then
     failwith (what ^ ": replica topology diverges from the reference");
-  verify_state ~what g spanners
+  Repair.check ~what g spanners
 
 (* {1 Scenarios} *)
 
@@ -318,7 +121,7 @@ let partition_mid_stream ~rand ~specs ~n ~batches ~dir =
   let r = start_replica ~cfg:(rcfg ~seed:(3 * n) ()) ~dir:rdir ~port () in
   wait_caught_up ~what:"replica catch-up before the partition" r half;
   gate_seq ~what:"partition-mid-stream (pre)" r half;
-  let cl = spawn_clients (Repl.replica_service r) ~seed:(11 * n) ~n ~count:2 in
+  let cl = Chaos.spawn_clients (Repl.replica_service r) ~seed:(11 * n) ~n ~count:2 in
   Repl.leader_set_refuse ld true;
   ignore (Repl.leader_drop_connections ld);
   feed svc rand expected ~from_:(half + 1) ~upto:batches;
@@ -336,7 +139,7 @@ let partition_mid_stream ~rand ~specs ~n ~batches ~dir =
   wait_caught_up ~what:"resume catch-up" r batches;
   gate_seq ~what:"partition-mid-stream" r batches;
   if Repl.reconnects r < 1 then failwith "no reconnect was recorded";
-  join_clients cl;
+  let served, stale = Chaos.join_clients cl in
   gate_replica ~what:"partition-mid-stream" r expected.(batches);
   (* the healed leader still answers the line protocol over TCP *)
   let tcp_ok = ref 0 in
@@ -356,10 +159,7 @@ let partition_mid_stream ~rand ~specs ~n ~batches ~dir =
   Repl.stop_leader ld;
   ignore (Service.stop svc);
   gate_byte_identical ~what:"partition-mid-stream" base rdir;
-  { o_queries = Atomic.get cl.cl_served + !tcp_ok;
-    o_stale = Atomic.get cl.cl_stale;
-    o_reconnects = reconnects;
-    o_disconnects = 0 }
+  [ ("queries", served + !tcp_ok); ("stale", stale); ("reconnects", reconnects) ]
 
 (* A snapshot ship is cut mid-chunk, the partial is corrupted on disk,
    and the ship retried: the resume must continue at the partial's
@@ -396,10 +196,7 @@ let torn_snapshot_ship ~rand ~specs ~n ~batches ~dir =
   if torn <= 0 || torn >= total then
     failwith (Printf.sprintf "torn partial holds %d of %d bytes" torn total);
   (* corrupt one byte; the resumed ship must reject the whole file *)
-  let flipped = Bytes.of_string (read_file part) in
-  let i = torn / 2 in
-  Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 0xff));
-  write_file part (Bytes.to_string flipped);
+  flip_byte part (torn / 2);
   Atomic.set lcfg.Repl.sender_delay_s 0.;
   (match Repl.ship ~timeout_s:5.0 ~host ~port ~dir:rdir () with
   | Ok _ -> failwith "a corrupted partial shipped without a checksum failure"
@@ -423,7 +220,7 @@ let torn_snapshot_ship ~rand ~specs ~n ~batches ~dir =
   Repl.stop_leader ld;
   ignore (Service.stop svc);
   gate_byte_identical ~what:"torn-snapshot-ship" base rdir;
-  { o_queries = 0; o_stale = 0; o_reconnects = reconnects; o_disconnects = 0 }
+  [ ("reconnects", reconnects) ]
 
 (* The per-follower send buffer is shrunk and the stream throttled
    until the buffer overflows: the leader must hang up with an
@@ -439,7 +236,7 @@ let slow_replica_overflow ~rand ~specs ~n ~batches ~dir =
   let port = Repl.leader_port ld in
   let r = start_replica ~cfg:(rcfg ~seed:(7 * n) ()) ~dir:rdir ~port () in
   wait_until ~what:"replica attach" (fun () -> Repl.connected r);
-  let cl = spawn_clients (Repl.replica_service r) ~seed:(13 * n) ~n ~count:2 in
+  let cl = Chaos.spawn_clients (Repl.replica_service r) ~seed:(13 * n) ~n ~count:2 in
   (* throttle: one frame per 0.2 s against 0.05 s of patience means the
      first push into a full buffer declares overflow *)
   Atomic.set lcfg.Repl.sender_delay_s 0.2;
@@ -456,17 +253,14 @@ let slow_replica_overflow ~rand ~specs ~n ~batches ~dir =
   wait_caught_up ~timeout:40.0 ~what:"catch-up after the overflow" r total;
   gate_seq ~what:"slow-replica-overflow" r total;
   if Repl.reconnects r < 1 then failwith "the overflowed replica never reconnected";
-  join_clients cl;
+  let served, stale = Chaos.join_clients cl in
   gate_replica ~what:"slow-replica-overflow" r expected.(total);
   let reconnects = Repl.reconnects r in
   ignore (Repl.stop_replica r);
   Repl.stop_leader ld;
   ignore (Service.stop svc);
   gate_byte_identical ~what:"slow-replica-overflow" base rdir;
-  { o_queries = Atomic.get cl.cl_served;
-    o_stale = Atomic.get cl.cl_stale;
-    o_reconnects = reconnects;
-    o_disconnects = 1 }
+  [ ("queries", served); ("stale", stale); ("reconnects", reconnects); ("disconnects", 1) ]
 
 (* The replica is crash-killed mid-apply (no final snapshot), the
    leader keeps ingesting, and a restart from the same directory must
@@ -501,7 +295,7 @@ let replica_restart_resume ~rand ~specs ~n ~batches ~dir =
   Repl.stop_leader ld;
   ignore (Service.stop svc);
   gate_byte_identical ~what:"replica-restart-resume" base rdir;
-  { o_queries = 0; o_stale = 0; o_reconnects = reconnects; o_disconnects = 0 }
+  [ ("reconnects", reconnects) ]
 
 (* The leader dies; the caught-up replica is promoted — epoch bumped
    and persisted — and the deposed leader, restarted with its stale
@@ -564,41 +358,26 @@ let leader_kill_promote ~rand ~specs ~n ~batches ~dir =
   Repl.stop_leader dld;
   ignore (Service.stop dsvc);
   gate_byte_identical ~what:"leader-kill-promote" deposed rdir;
-  { o_queries = 0; o_stale = 0; o_reconnects = Repl.reconnects r; o_disconnects = 1 }
+  [ ("reconnects", Repl.reconnects r); ("disconnects", 1) ]
 
 (* {1 The plan} *)
 
+let scenarios =
+  [ ("partition-mid-stream", partition_mid_stream); ("torn-snapshot-ship", torn_snapshot_ship);
+    ("slow-replica-overflow", slow_replica_overflow);
+    ("replica-restart-resume", replica_restart_resume); ("leader-kill-promote", leader_kill_promote) ]
+
+let names = List.map fst scenarios
+
+let pp_report fmt r =
+  Format.fprintf fmt
+    "@[<v>net chaos scenarios: %d (%d queries answered, %d stale-flagged, %d reconnects, %d \
+     reasoned disconnects)%a@]"
+    r.scenarios (count r "queries") (count r "stale") (count r "reconnects")
+    (count r "disconnects") pp_failures r
+
 let run ?(specs = [ Repair.Gdy_k { k = 1 } ]) ?only ~seed ~n ~batches ~dir () =
-  if batches < 4 then invalid_arg "Net_chaos.run: need at least 4 batches";
-  (match only with
-  | Some s when not (List.mem s names) ->
-      invalid_arg
-        (Printf.sprintf "Net_chaos.run: unknown scenario %s (known: %s)" s
-           (String.concat ", " names))
-  | _ -> ());
-  mkdir_p dir;
-  let rand = Rand.create seed in
-  let scenarios = ref 0 in
-  let queries = ref 0 and stale = ref 0 and reconn = ref 0 and disc = ref 0 in
-  let failures = ref [] in
-  let scenario name f =
-    if only = None || only = Some name then begin
-      incr scenarios;
-      match f ~rand ~specs ~n ~batches ~dir with
-      | o ->
-          queries := !queries + o.o_queries;
-          stale := !stale + o.o_stale;
-          reconn := !reconn + o.o_reconnects;
-          disc := !disc + o.o_disconnects
-      | exception Failure reason -> failures := { scenario = name; reason } :: !failures
-      | exception e ->
-          failures := { scenario = name; reason = Printexc.to_string e } :: !failures
-    end
-  in
-  scenario "partition-mid-stream" partition_mid_stream;
-  scenario "torn-snapshot-ship" torn_snapshot_ship;
-  scenario "slow-replica-overflow" slow_replica_overflow;
-  scenario "replica-restart-resume" replica_restart_resume;
-  scenario "leader-kill-promote" leader_kill_promote;
-  { scenarios = !scenarios; queries_ok = !queries; stale_served = !stale;
-    reconnects = !reconn; disconnects = !disc; failures = List.rev !failures }
+  Rs_store.Harness.run ~suite:"Net_chaos.run" ~min_n:2 ~min_batches:4 ?only ~seed ~n ~batches
+    ~dir
+    (fun rand ->
+      List.map (fun (name, f) -> (name, fun () -> f ~rand ~specs ~n ~batches ~dir)) scenarios)

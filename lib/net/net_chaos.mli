@@ -4,11 +4,9 @@
     TCP front) and a real replica (shipped snapshot, WAL stream,
     its own store), keeps client reads flowing against the replica,
     injects one network failure, and gates the aftermath: the
-    replica's state must equal a from-scratch
-    {!Rs_dynamic.Repair.build} on its graph, pass
-    {!Rs_core.Verify.is_remote_spanner} at the spec's [alpha_beta],
-    and — where both ends survive — recover to a snapshot {e byte
-    identical} to the leader's at the same sequence number.
+    replica's state must pass {!Rs_dynamic.Repair.check} and — where
+    both ends survive — recover to a snapshot {e byte identical} to
+    the leader's at the same sequence number.
 
     Scenarios:
 
@@ -42,19 +40,11 @@ open Rs_dynamic
 
 val names : string list
 
-type failure = { scenario : string; reason : string }
-
-type report = {
-  scenarios : int;
-  queries_ok : int;  (** replica-side client queries answered [Ok] *)
-  stale_served : int;
-  reconnects : int;  (** successful resume handshakes across all runs *)
-  disconnects : int;  (** reasoned disconnects observed (overflow, fence) *)
-  failures : failure list;
-}
-
-val ok : report -> bool
-val pp_report : Format.formatter -> report -> unit
+val pp_report : Format.formatter -> Rs_store.Harness.report -> unit
+(** [net chaos scenarios: N (...)] over the report's [queries]
+    (replica-side client queries answered [Ok]), [stale], [reconnects]
+    (successful resume handshakes) and [disconnects] (reasoned
+    disconnects: overflow, fence) counts, then one line per failure. *)
 
 val run :
   ?specs:Repair.spec list ->
@@ -64,8 +54,8 @@ val run :
   batches:int ->
   dir:string ->
   unit ->
-  report
+  Rs_store.Harness.report
 (** Same contract as {!Rs_serve.Chaos.run}: every scenario (or the one
     named by [?only]) under [dir], deterministic in [seed] up to
     scheduling. [?specs] defaults to [[Gdy_k {k = 1}]]. Raises
-    [Invalid_argument] on an unknown [?only]. *)
+    [Invalid_argument] on misuse. *)

@@ -22,12 +22,6 @@ let c_stream_rejects = Obs.counter "replica/stream_rejects"
 let g_lag = Obs.gauge "replica/lag"
 let g_connected = Obs.gauge "replica/connected"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let shutdown_quiet fd =
   try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ()
@@ -475,7 +469,7 @@ let lead ?config ?proto_env ?server ~service ~store_dir ~host ~port () =
     match store_dir with
     | None -> 1
     | Some dir ->
-        mkdir_p dir;
+        Rs_store.Harness.mkdir_p dir;
         let e = max 1 (read_epoch ~dir) in
         write_epoch ~dir e;
         e
@@ -552,7 +546,7 @@ let find_part dir =
 
 let ship ?(chunk_hint = 0) ?(timeout_s = 10.0) ~host ~port ~dir () =
   ignore chunk_hint;
-  mkdir_p dir;
+  Rs_store.Harness.mkdir_p dir;
   let offset, snap_seq_req =
     match find_part dir with Some (_, size, seq) -> (size, seq) | None -> (0, 0)
   in
@@ -1014,7 +1008,7 @@ let health_writer r ~path ~every_s () =
 
 let follow ?config ?health_file ~service_config ~dir ~host ~port () =
   let cfg = match config with Some c -> c | None -> default_replica_config () in
-  mkdir_p dir;
+  Rs_store.Harness.mkdir_p dir;
   (* bootstrap: an empty directory gets the leader's newest snapshot
      (resumable across torn attempts); an existing store resumes *)
   let rec bootstrap attempt =

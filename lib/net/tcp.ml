@@ -112,13 +112,23 @@ let serve t handler =
           close_quiet fd
         end
         else begin
-          Obs.incr c_accepts;
           conn_delta 1;
           (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
+          (* registered under the lock so the handler's unregistering
+             [finally] cannot run first; at the domain limit the spawn
+             fails: release the lock, refuse this connection and keep
+             accepting *)
           Mutex.lock t.mu;
-          let dom = Domain.spawn (run_conn fd) in
-          t.conns <- { fd; dom } :: t.conns;
-          Mutex.unlock t.mu
+          match Domain.spawn (run_conn fd) with
+          | dom ->
+              t.conns <- { fd; dom } :: t.conns;
+              Mutex.unlock t.mu;
+              Obs.incr c_accepts
+          | exception Failure _ ->
+              Mutex.unlock t.mu;
+              Obs.incr c_refused;
+              conn_delta (-1);
+              close_quiet fd
         end;
         accept_loop ()
     | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> ()

@@ -28,8 +28,10 @@ val port : server -> int
 val serve : server -> (Unix.file_descr -> unit) -> unit
 (** Start the accept loop on a new domain. Each accepted connection
     runs [handler fd] on its own domain; the fd is closed when the
-    handler returns or raises. Records [net/accepts] and gauges
-    [net/connections]. *)
+    handler returns or raises. When no handler domain can be spawned
+    (OCaml's domain limit) the connection is closed and counted in
+    [net/refused], and the loop keeps accepting. Records
+    [net/accepts] and gauges [net/connections]. *)
 
 val set_refuse : server -> bool -> unit
 (** While set, accepted connections are closed immediately — new

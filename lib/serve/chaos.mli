@@ -3,13 +3,10 @@
 
     Each scenario stands up a real {!Service} — writer, readers,
     watchdog — keeps concurrent client domains querying it throughout,
-    injects one failure, and then gates the aftermath the same way the
-    crash harness gates recovery: the surviving (or recovered) state
-    must equal a from-scratch {!Rs_dynamic.Repair.build} on its graph
-    and pass {!Rs_core.Verify.is_remote_spanner} at the spec's
-    [alpha_beta]; reader domains must answer every query they are
-    given (stale-flagged at worst, [Bad_request] never) and none may
-    crash.
+    injects one failure, and then gates the surviving (or recovered)
+    state with {!Rs_dynamic.Repair.check}, as the crash harness gates
+    recovery; reader domains must answer every query they are given
+    (stale-flagged at worst, [Bad_request] never) and none may crash.
 
     Scenarios:
 
@@ -37,19 +34,11 @@ open Rs_dynamic
 val names : string list
 (** The scenario names above, in run order. *)
 
-type failure = { scenario : string; reason : string }
-
-type report = {
-  scenarios : int;  (** scenarios run *)
-  queries_ok : int;  (** client queries answered [Ok] across all runs *)
-  stale_served : int;  (** of those, explicitly stale-flagged *)
-  rejections : int;  (** deltas rejected with a reason (saturation) *)
-  failovers : int;  (** watchdog failovers observed *)
-  failures : failure list;  (** empty on success *)
-}
-
-val ok : report -> bool
-val pp_report : Format.formatter -> report -> unit
+val pp_report : Format.formatter -> Rs_store.Harness.report -> unit
+(** [chaos scenarios: N (...)] over the report's [queries] (client
+    queries answered [Ok]), [stale] (of those, stale-flagged),
+    [rejections] (deltas rejected with a reason) and [failovers]
+    (watchdog failovers) counts, then one line per failure. *)
 
 val run :
   ?specs:Repair.spec list ->
@@ -59,11 +48,25 @@ val run :
   batches:int ->
   dir:string ->
   unit ->
-  report
+  Rs_store.Harness.report
 (** [run ~seed ~n ~batches ~dir ()] drives every scenario (or the one
-    named by [?only]) under [dir] — durable scenarios put their store
-    in [dir/<scenario>], recovery copies in [dir/<scenario>-recover].
+    named by [?only]) through {!Rs_store.Harness.run}, which checks [n]
+    and [batches >= 4] first — durable scenarios put their store in
+    [dir/<scenario>], recovery copies in [dir/<scenario>-recover].
     [?specs] defaults to [[Gdy_k {k = 1}; Mis {r = 2}]], one star and
     one tree family. Deterministic in [seed] up to scheduling (the
     assertions are scheduling-independent; the client traffic counts
-    are not). Raises [Invalid_argument] on an unknown [?only]. *)
+    are not). Raises [Invalid_argument] on misuse. *)
+
+(** {1 Concurrent client load} *)
+
+type clients
+
+val spawn_clients : Service.t -> seed:int -> n:int -> count:int -> clients
+(** [count] client domains querying [svc] (stats, status, routes and
+    adverts over [n] vertices, seeded) until {!join_clients}. *)
+
+val join_clients : clients -> int * int
+(** Stop and join the clients; returns [(answered, stale_flagged)].
+    Timeouts and overload rejections are allowed; raises [Failure] if
+    any query was answered [Bad_request]. *)

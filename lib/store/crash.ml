@@ -1,118 +1,24 @@
 open Rs_graph
 open Rs_dynamic
-
-type failure = { case : string; reason : string }
-
-type report = {
-  cases : int;
-  exact : int;
-  prefix : int;
-  round_trip_ok : bool;
-  failures : failure list;
-}
-
-let ok r = r.round_trip_ok && r.failures = []
+open Harness
 
 let pp_report fmt r =
-  Format.fprintf fmt "@[<v>crash sites: %d (%d exact recoveries, %d verified prefixes)" r.cases
-    r.exact r.prefix;
-  Format.fprintf fmt "@,round trip: %s" (if r.round_trip_ok then "byte-identical" else "FAILED");
-  List.iter (fun f -> Format.fprintf fmt "@,FAIL %s: %s" f.case f.reason) r.failures;
-  Format.fprintf fmt "@]"
-
-(* {1 Filesystem scratchpads} *)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-(* store directories are flat — plain file-by-file copy suffices *)
-let copy_dir src dst =
-  rm_rf dst;
-  mkdir_p dst;
-  Array.iter
-    (fun name ->
-      let data = In_channel.with_open_bin (Filename.concat src name) In_channel.input_all in
-      Out_channel.with_open_bin (Filename.concat dst name) (fun oc ->
-          Out_channel.output_string oc data))
-    (Sys.readdir src)
-
-let truncate_file path len = Unix.truncate path len
-
-let flip_byte path off =
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let b = Bytes.create 1 in
-  if Unix.read fd b 0 1 <> 1 then failwith "flip_byte: short read";
-  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xA5));
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  if Unix.write fd b 0 1 <> 1 then failwith "flip_byte: short write";
-  Unix.close fd
-
-(* {1 Random history} *)
-
-let random_op rand g =
-  let n = Graph.n g in
-  let m = Graph.m g in
-  let pick () = Rand.int rand n in
-  match Rand.int rand 100 with
-  | r when r < 45 || m = 0 ->
-      (* an absent pair is overwhelmingly likely in sparse graphs; a
-         few tries suffice, and a present pair is still a valid op *)
-      let rec go tries =
-        let u = pick () and v = pick () in
-        if u = v then go tries
-        else if Graph.mem_edge g u v && tries > 0 then go (tries - 1)
-        else Delta.Add_edge (u, v)
-      in
-      go 8
-  | r when r < 80 ->
-      let u, v = Graph.edge g (Rand.int rand m) in
-      Delta.Remove_edge (u, v)
-  | r when r < 90 -> Delta.Node_down (pick ())
-  | _ ->
-      let u = pick () in
-      let links =
-        List.init
-          (1 + Rand.int rand 3)
-          (fun _ ->
-            let rec go () =
-              let v = pick () in
-              if v = u then go () else v
-            in
-            go ())
-        |> List.sort_uniq compare
-      in
-      Delta.Node_up (u, links)
-
-let random_delta rand g =
-  let rec go tries =
-    let ops = List.init (1 + Rand.int rand 3) (fun _ -> random_op rand g) in
-    match Delta.effect g ops with
-    | [], [] when tries > 0 -> go (tries - 1)
-    | _ -> ops
-  in
-  go 16
+  (* every scenario but the last is a crash site; the last is the
+     unmutated round trip *)
+  Format.fprintf fmt
+    "@[<v>crash sites: %d (%d exact recoveries, %d verified prefixes)@,round trip: %s%a@]"
+    (r.scenarios - 1) (count r "exact") (count r "prefix")
+    (if List.exists (fun f -> f.scenario = "round-trip") r.failures then "FAILED"
+     else "byte-identical")
+    pp_failures r
 
 (* {1 The plan} *)
 
-type expect = Seq of int  (** best recoverable sequence number *)
-
 let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4) ~seed ~n
     ~batches ~dir () =
-  if batches < 2 then invalid_arg "Crash.run: need at least 2 batches";
-  let rand = Rand.create seed in
+  Harness.run ~suite:"Crash.run" ~min_n:2 ~min_batches:2 ~seed ~n ~batches ~dir @@ fun rand ->
   let g0 = Gen.random_connected rand n (4.0 /. float_of_int n) in
   let base = Filename.concat dir "base" in
-  mkdir_p dir;
   rm_rf base;
   (* tiny segments force multi-segment histories, so cross-segment
      anomalies (gaps after a truncated tail) are actually exercised *)
@@ -160,8 +66,29 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
      [s] on: everything below [s], topped up by the mid snapshot *)
   let best_without s = max mid (s - 1) in
 
+  (* each case recovers a damaged copy of [base] and must land exactly
+     on [want], with the live history's graph *)
   let cases = ref [] in
-  let add name mutate expect = cases := (name, mutate, expect) :: !cases in
+  let add name mutate want =
+    let case () =
+      let d = Filename.concat dir ("case-" ^ name) in
+      copy_dir base d;
+      mutate d;
+      match Store.recover ~verify:true ~dir:d () with
+      | exception Failure reason -> failwith ("recovery failed: " ^ reason)
+      | exception Binio.Corrupt reason -> failwith ("recovery raised Corrupt: " ^ reason)
+      | t, rcv ->
+          let seq = rcv.Store.last_seq in
+          Store.close t;
+          if seq <> want then
+            failwith (Printf.sprintf "recovered seq %d, best recoverable prefix is %d" seq want);
+          if not (Graph.equal (Store.graph t) expected.(seq)) then
+            failwith (Printf.sprintf "recovered graph at seq %d differs from live history" seq);
+          rm_rf d;
+          [ ((if seq = batches then "exact" else "prefix"), 1) ]
+    in
+    cases := (name, case) :: !cases
+  in
 
   (* torn WAL tail: cut the last segment at sampled offsets inside the
      final record — header bytes, payload bytes — and exactly at its
@@ -169,13 +96,13 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
   let lr_len = record_len last_record in
   add "torn-tail-boundary"
     (fun d -> truncate_file (Filename.concat d (Filename.basename last_seg)) last_record.Wal.offset)
-    (Seq (best_without last_record.Wal.seq));
+    (best_without last_record.Wal.seq);
   for i = 1 to sites do
     let cut = last_record.Wal.offset + 1 + Rand.int rand (lr_len - 1) in
     add
       (Printf.sprintf "torn-tail-mid-%d" i)
       (fun d -> truncate_file (Filename.concat d (Filename.basename last_seg)) cut)
-      (Seq (best_without last_record.Wal.seq))
+      (best_without last_record.Wal.seq)
   done;
   (* several records lost at once: cut at an earlier record boundary in
      the last segment (a longer unsynced tail) *)
@@ -185,14 +112,12 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
       add "lost-unsynced-tail"
         (fun d ->
           truncate_file (Filename.concat d (Filename.basename last_seg)) first_in_last.Wal.offset)
-        (Seq (best_without first_in_last.Wal.seq))
+        (best_without first_in_last.Wal.seq)
   | _ -> ());
   (* torn segment header on the last segment *)
   add "torn-segment-header"
     (fun d -> truncate_file (Filename.concat d (Filename.basename last_seg)) 8)
-    (Seq
-       (best_without
-          (match in_last_seg with r :: _ -> r.Wal.seq | [] -> last_record.Wal.seq)));
+    (best_without (match in_last_seg with r :: _ -> r.Wal.seq | [] -> last_record.Wal.seq));
   (* checksum-corrupting flips: one in a mid-history record (dropping
      every later segment across the gap), one in the final record *)
   let mid_record = records.(batches / 2) in
@@ -201,11 +126,11 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
       flip_byte
         (Filename.concat d (Filename.basename mid_record.Wal.file))
         (mid_record.Wal.offset + 16 + Rand.int rand (record_len mid_record - 16)))
-    (Seq (best_without mid_record.Wal.seq));
+    (best_without mid_record.Wal.seq);
   add "corrupt-seq-field"
     (fun d ->
       flip_byte (Filename.concat d (Filename.basename last_seg)) (last_record.Wal.offset + 8))
-    (Seq (best_without last_record.Wal.seq));
+    (best_without last_record.Wal.seq);
   (* snapshot damage: recovery must fall back to the seq-0 snapshot and
      replay the whole log — the full pre-crash state *)
   let snap_base = Filename.basename (snd newest_snap) in
@@ -215,66 +140,31 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
     add
       (Printf.sprintf "snapshot-truncated-%d" i)
       (fun d -> truncate_file (Filename.concat d snap_base) cut)
-      (Seq batches)
+      batches
   done;
   add "snapshot-bitflip"
     (fun d -> flip_byte (Filename.concat d snap_base) (Rand.int rand snap_size))
-    (Seq batches);
+    batches;
   add "interrupted-rename"
     (fun d ->
       let p = Filename.concat d snap_base in
       Sys.rename p (p ^ ".tmp"))
-    (Seq batches);
-
-  let failures = ref [] in
-  let exact = ref 0 and prefix = ref 0 in
-  let fail case reason = failures := { case; reason } :: !failures in
-  let case_list = List.rev !cases in
-  List.iter
-    (fun (name, mutate, Seq want) ->
-      let d = Filename.concat dir ("case-" ^ name) in
-      copy_dir base d;
-      mutate d;
-      match Store.recover ~verify:true ~dir:d () with
-      | exception Failure reason -> fail name ("recovery failed: " ^ reason)
-      | exception Binio.Corrupt reason -> fail name ("recovery raised Corrupt: " ^ reason)
-      | t, rcv ->
-          let seq = rcv.Store.last_seq in
-          Store.close t;
-          if seq <> want then
-            fail name (Printf.sprintf "recovered seq %d, best recoverable prefix is %d" seq want)
-          else if not (Graph.equal (Store.graph t) expected.(seq)) then
-            fail name (Printf.sprintf "recovered graph at seq %d differs from live history" seq)
-          else begin
-            if seq = batches then incr exact else incr prefix;
-            rm_rf d
-          end)
-    case_list;
+    batches;
 
   (* unmutated round trip: recovered state must re-encode to the exact
      bytes of the live state at close *)
-  let round_trip_ok =
+  let round_trip () =
     let d = Filename.concat dir "case-round-trip" in
     copy_dir base d;
     match Store.recover ~verify:true ~dir:d () with
-    | exception Failure reason ->
-        fail "round-trip" ("recovery failed: " ^ reason);
-        false
+    | exception Failure reason -> failwith ("recovery failed: " ^ reason)
     | t, rcv ->
         let got = Snapshot.to_string (Store.snapshot_value t) in
         Store.close t;
-        if rcv.Store.last_seq <> batches then begin
-          fail "round-trip" (Printf.sprintf "recovered seq %d of %d" rcv.Store.last_seq batches);
-          false
-        end
-        else if got <> live_bytes then begin
-          fail "round-trip" "recovered snapshot bytes differ from live state";
-          false
-        end
-        else begin
-          rm_rf d;
-          true
-        end
+        if rcv.Store.last_seq <> batches then
+          failwith (Printf.sprintf "recovered seq %d of %d" rcv.Store.last_seq batches);
+        if got <> live_bytes then failwith "recovered snapshot bytes differ from live state";
+        rm_rf d;
+        []
   in
-  { cases = List.length case_list; exact = !exact; prefix = !prefix; round_trip_ok;
-    failures = List.rev !failures }
+  List.rev (("round-trip", round_trip) :: !cases)

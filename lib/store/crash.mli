@@ -29,18 +29,11 @@
 
 open Rs_dynamic
 
-type failure = { case : string; reason : string }
-
-type report = {
-  cases : int;  (** crash sites injected *)
-  exact : int;  (** recovered the full pre-crash state *)
-  prefix : int;  (** recovered a strict, verified prefix *)
-  round_trip_ok : bool;  (** unmutated copy recovered byte-identically *)
-  failures : failure list;  (** empty on success *)
-}
-
-val ok : report -> bool
-val pp_report : Format.formatter -> report -> unit
+val pp_report : Format.formatter -> Harness.report -> unit
+(** [crash sites: N (E exact recoveries, P verified prefixes)], the
+    round-trip verdict, then one line per failure. The report's
+    [exact] and [prefix] counts tally the two recovery regimes; its
+    last scenario, [round-trip], is the unmutated copy. *)
 
 val run :
   ?specs:Repair.spec list ->
@@ -50,11 +43,12 @@ val run :
   batches:int ->
   dir:string ->
   unit ->
-  report
-(** [run ~seed ~n ~batches ~dir ()] drives the whole plan under [dir]
-    (created if needed; the base store lands in [dir/base], scratch
-    copies in [dir/case-*] — removed when their case passes, kept for
-    inspection when it fails). [?specs] defaults to one star family
-    and one tree family ([Gdy_k {k = 1}; Mis {r = 2}]), so both
-    snapshot encodings are exercised; [?sites] (default 4) scales the
-    number of sampled torn-tail offsets. Deterministic in [seed]. *)
+  Harness.report
+(** [run ~seed ~n ~batches ~dir ()] drives the whole plan through
+    {!Harness.run} (so [n] and [batches >= 2] are checked first) under
+    [dir]: the base store lands in [dir/base], scratch copies in
+    [dir/case-*] — removed when their case passes, kept for inspection
+    when it fails. [?specs] defaults to one star family and one tree
+    family ([Gdy_k {k = 1}; Mis {r = 2}]), so both snapshot encodings
+    are exercised; [?sites] (default 4) scales the number of sampled
+    torn-tail offsets. Deterministic in [seed]. *)

@@ -22,12 +22,6 @@ type t = {
   mutable closed : bool;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let snapshot_value t =
   if t.states_stale then
     invalid_arg "Store.snapshot_value: spanner states are stale (rebuild first)";
@@ -40,7 +34,7 @@ let snapshot_value t =
         t.states }
 
 let create ?(policy = Wal.Always) ?(segment_bytes = 1 lsl 20) ~dir ~specs g =
-  mkdir_p dir;
+  Harness.mkdir_p dir;
   if Snapshot.list_dir ~dir <> [] || Wal.segment_files ~dir <> [] then
     failwith (Printf.sprintf "Store.create: %s already contains a store (recover it instead)" dir);
   let states = List.map (fun spec -> (spec, Repair.init spec g)) specs in
@@ -141,25 +135,6 @@ let pp_recovery fmt r =
     r.snapshots_skipped;
   Format.fprintf fmt "@]"
 
-let verify_states g states =
-  List.iter
-    (fun (spec, st) ->
-      let rebuilt = Edge_set.to_list (Repair.build spec g) in
-      if Repair.pairs st <> rebuilt then
-        failwith
-          (Format.asprintf
-             "Store.recover: recovered %a spanner diverges from a from-scratch build"
-             Repair.pp_spec spec);
-      match Repair.alpha_beta spec with
-      | Some (alpha, beta) ->
-          if not (Rs_core.Verify.is_remote_spanner g (Repair.spanner st) ~alpha ~beta) then
-            failwith
-              (Format.asprintf
-                 "Store.recover: recovered %a spanner violates its (%.1f, %.1f) guarantee"
-                 Repair.pp_spec spec alpha beta)
-      | None -> ())
-    states
-
 let recover ?(policy = Wal.Always) ?(segment_bytes = 1 lsl 20) ?(verify = false) ~dir () =
   Obs.with_span "store/recover" @@ fun () ->
   Obs.incr c_recoveries;
@@ -230,7 +205,10 @@ let recover ?(policy = Wal.Always) ?(segment_bytes = 1 lsl 20) ?(verify = false)
       Wal.truncate ~dir tr;
       Obs.incr c_truncations
   | None -> ());
-  if verify then Obs.with_span "verify" (fun () -> verify_states !g states);
+  if verify then
+    Obs.with_span "verify" (fun () ->
+        Repair.check ~what:"Store.recover" !g
+          (List.map (fun (spec, st) -> (spec, Repair.spanner st)) states));
   let t =
     { dir; policy; segment_bytes; seq = !last; g = !g; states; states_stale = false;
       wal = Wal.create_writer ~policy ~segment_bytes ~dir ~next_seq:(!last + 1) ();

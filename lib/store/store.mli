@@ -132,11 +132,9 @@ val recover :
       through {!Repair.apply}, stopping at the first torn or corrupt
       record and physically truncating the log there;
     + with [~verify:true] (default false; the CLI defaults it on),
-      gate the result: every recovered spanner must equal a
-      from-scratch {!Repair.build} on the recovered graph, and must
-      pass {!Rs_core.Verify.is_remote_spanner} at its spec's
-      [alpha_beta] when the paper states one — raising [Failure]
-      rather than returning a state that fails its own invariants;
+      gate every recovered spanner with {!Repair.check} — raising
+      [Failure] rather than returning a state that fails its own
+      invariants;
     + reopen the WAL for appending at [last_seq + 1].
 
     Raises [Failure] when no usable snapshot exists. Records

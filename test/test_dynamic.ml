@@ -322,6 +322,43 @@ let test_acceptance_2000 () =
   check "passes Verify at (1, 0)" true
     (Rs_core.Verify.is_remote_spanner g' (Repair.spanner st) ~alpha:1.0 ~beta:0.0)
 
+(* ---------------------------------------------------------------- *)
+(* The end-state oracle *)
+
+(* [Repair.check] accepts the from-scratch build and rejects, naming
+   the spec, a spanner one build edge short or one graph edge over —
+   for a star family and a tree family *)
+let test_check_oracle () =
+  let g = udg ~seed:21 ~n:60 ~density:5.0 in
+  List.iter
+    (fun spec ->
+      let name = Format.asprintf "%a" Repair.pp_spec spec in
+      let h = Repair.build spec g in
+      Repair.check ~what:"oracle" g [ (spec, h) ];
+      let rejects label sp =
+        match Repair.check ~what:"oracle" g [ (spec, sp) ] with
+        | () -> Alcotest.failf "%s: accepted a spanner %s" name label
+        | exception Failure m ->
+            let mentions sub =
+              let n = String.length m and k = String.length sub in
+              let rec go i = i + k <= n && (String.sub m i k = sub || go (i + 1)) in
+              go 0
+            in
+            check (name ^ ": message names what and the spec") true
+              (mentions "oracle" && mentions name)
+      in
+      let short = Edge_set.copy h in
+      (match Edge_set.to_list h with
+      | (u, v) :: _ -> Edge_set.remove short u v
+      | [] -> Alcotest.fail "empty build");
+      rejects "one build edge short" short;
+      let over = Edge_set.copy h in
+      (match Array.find_opt (fun (u, v) -> not (Edge_set.mem h u v)) (Graph.edges g) with
+      | Some (u, v) -> Edge_set.add over u v
+      | None -> Alcotest.fail "the build already holds every graph edge");
+      rejects "one graph edge over" over)
+    [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]
+
 let () =
   Alcotest.run "dynamic"
     [
@@ -342,6 +379,7 @@ let () =
           Alcotest.test_case "all specs" `Quick test_repair_all_specs;
           Alcotest.test_case "escalation ladder" `Quick test_escalation_ladder;
           Alcotest.test_case "incremental target" `Quick test_incremental_target;
+          Alcotest.test_case "check oracle" `Quick test_check_oracle;
         ] );
       ( "properties",
         [

@@ -11,6 +11,7 @@ module Snapshot = Rs_store.Snapshot
 module Binio = Rs_store.Binio
 module Frame = Rs_net.Frame
 module Net_chaos = Rs_net.Net_chaos
+module Harness = Rs_store.Harness
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -235,6 +236,51 @@ let test_wal_gap_at_rotation () =
   check_int "log is whole again" 4 (List.length scan3.Wal.records);
   rm_rf dir
 
+(* {1 Tcp at the domain limit} *)
+
+(* With every domain the runtime allows parked, the accept loop cannot
+   hand a connection to a handler domain: it must refuse that one
+   connection and keep listening, serve again once domains are free,
+   and still stop cleanly. *)
+let test_tcp_domain_limit () =
+  let module Tcp = Rs_net.Tcp in
+  let srv =
+    match Tcp.listen ~host:"127.0.0.1" ~port:0 with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  Tcp.serve srv (fun fd ->
+      match Frame.recv fd ~timeout_s:5.0 with
+      | Ok q -> ignore (Frame.send fd ~timeout_s:5.0 ("echo " ^ q))
+      | Error _ -> ());
+  let ask () =
+    match Tcp.connect ~host:"127.0.0.1" ~port:(Tcp.port srv) ~timeout_s:5.0 with
+    | Error e -> Error e
+    | Ok fd ->
+        let r =
+          match Frame.send fd ~timeout_s:5.0 "ping" with
+          | Error e -> Error (Frame.error_to_string e)
+          | Ok () -> Result.map_error Frame.error_to_string (Frame.recv fd ~timeout_s:5.0)
+        in
+        Unix.close fd;
+        r
+  in
+  let release = Atomic.make false in
+  let park () =
+    while not (Atomic.get release) do
+      Unix.sleepf 0.005
+    done
+  in
+  let rec fill acc = match Domain.spawn park with d -> fill (d :: acc) | exception Failure _ -> acc in
+  let parked = fill [] in
+  let refused = ask () in
+  Atomic.set release true;
+  List.iter Domain.join parked;
+  check "some domains were parked" true (parked <> []);
+  check "refused while no domain is free" true (Result.is_error refused);
+  check "answered once domains are free" true (ask () = Ok "echo ping");
+  Tcp.stop srv
+
 (* {1 Network chaos as acceptance} *)
 
 let test_net_chaos () =
@@ -242,13 +288,12 @@ let test_net_chaos () =
   let r = Net_chaos.run ~seed:7 ~n:24 ~batches:6 ~dir () in
   List.iter
     (fun f ->
-      Printf.eprintf "net chaos FAIL %s: %s\n%!" f.Net_chaos.scenario
-        f.Net_chaos.reason)
-    r.Net_chaos.failures;
-  check "all scenarios pass" true (Net_chaos.ok r);
-  check_int "all scenarios ran" 5 r.Net_chaos.scenarios;
-  check "reconnects were exercised" true (r.Net_chaos.reconnects >= 2);
-  check "reasoned disconnects were exercised" true (r.Net_chaos.disconnects >= 2);
+      Printf.eprintf "net chaos FAIL %s: %s\n%!" f.Harness.scenario f.Harness.reason)
+    r.Harness.failures;
+  check "all scenarios pass" true (Harness.ok r);
+  check_int "all scenarios ran" 5 r.Harness.scenarios;
+  check "reconnects were exercised" true (Harness.count r "reconnects" >= 2);
+  check "reasoned disconnects were exercised" true (Harness.count r "disconnects" >= 2);
   rm_rf dir
 
 let () =
@@ -271,4 +316,5 @@ let () =
       ("wal",
        [ Alcotest.test_case "gap at rotation boundary" `Quick
            test_wal_gap_at_rotation ]);
+      ("tcp", [ Alcotest.test_case "refuses at the domain limit" `Quick test_tcp_domain_limit ]);
       ("chaos", [ Alcotest.test_case "all scenarios" `Slow test_net_chaos ]) ]

@@ -8,6 +8,7 @@ module Repair = Rs_dynamic.Repair
 module Store = Rs_store.Store
 module Service = Rs_serve.Service
 module Chaos = Rs_serve.Chaos
+module Harness = Rs_store.Harness
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -241,12 +242,12 @@ let test_chaos () =
   let dir = tmp_dir "chaos" in
   let r = Chaos.run ~seed:5 ~n:30 ~batches:5 ~dir () in
   List.iter
-    (fun f -> Printf.eprintf "chaos FAIL %s: %s\n%!" f.Chaos.scenario f.Chaos.reason)
-    r.Chaos.failures;
-  check "every scenario passed" true (Chaos.ok r);
-  check_int "all scenarios ran" (List.length Chaos.names) r.Chaos.scenarios;
-  check "saturation produced explicit rejections" true (r.Chaos.rejections > 0);
-  check "the wedged writer failed over" true (r.Chaos.failovers >= 1);
+    (fun f -> Printf.eprintf "chaos FAIL %s: %s\n%!" f.Harness.scenario f.Harness.reason)
+    r.Harness.failures;
+  check "every scenario passed" true (Harness.ok r);
+  check_int "all scenarios ran" (List.length Chaos.names) r.Harness.scenarios;
+  check "saturation produced explicit rejections" true (Harness.count r "rejections" > 0);
+  check "the wedged writer failed over" true (Harness.count r "failovers" >= 1);
   rm_rf dir
 
 let () =

@@ -12,6 +12,7 @@ module Snapshot = Rs_store.Snapshot
 module Wal = Rs_store.Wal
 module Store = Rs_store.Store
 module Crash = Rs_store.Crash
+module Harness = Rs_store.Harness
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -384,10 +385,12 @@ let test_crash_interrupted_rename () =
 let test_crash_harness () =
   let dir = tmp_dir "crash_harness" in
   let report = Crash.run ~seed:5 ~n:40 ~batches:12 ~dir () in
-  if not (Crash.ok report) then
+  if not (Harness.ok report) then
     Alcotest.failf "crash harness: %s" (Format.asprintf "%a" Crash.pp_report report);
-  check "several sites injected" true (report.Crash.cases >= 10);
-  check "both regimes observed" true (report.Crash.exact > 0 && report.Crash.prefix > 0);
+  (* every scenario but the final round trip is a crash site *)
+  check "several sites injected" true (report.Harness.scenarios - 1 >= 10);
+  check "both regimes observed" true
+    (Harness.count report "exact" > 0 && Harness.count report "prefix" > 0);
   rm_rf dir
 
 (* snapshot load must beat the text parser decisively; the bench gates
