@@ -109,6 +109,9 @@ let bench_size rows ~seen ~tier ~n =
   add "domtree/gdy_k2" (fun () -> Dom_tree_k.gdy_k ~scratch g ~k:2 0);
   add "build/exact-sharded" (fun () -> Sharded.build g (Sharded.Gdy_k { k = 1 }));
   add "build/gdy-sharded" (fun () -> Sharded.build g (Sharded.Gdy { r = 3; beta = 1 }));
+  (* the repair state's full build: the same engine, plus per-root
+     tree storage and edge-id refcounts *)
+  add "repair/init" (fun () -> Rs_dynamic.Repair.init (Rs_dynamic.Repair.Gdy_k { k = 1 }) g);
   let text = Graph_io.to_string g in
   let bin = Graph_io.to_binary_string g in
   add "io/to-text" (fun () -> Graph_io.to_string g);
@@ -118,7 +121,7 @@ let bench_size rows ~seen ~tier ~n =
   if tier = `Full then begin
   add "domtree/mis-r3" (fun () -> Dom_tree.mis ~scratch g ~r:3 0);
   add "union/exact-seq" (fun () -> Remote_spanner.exact_distance g);
-  add "union/exact-par4" (fun () -> Parallel.exact_distance ~domains:4 g);
+  add "union/exact-par4" (fun () -> Sharded.build ~domains:4 g (Sharded.Gdy_k { k = 1 }));
   let h = Remote_spanner.exact_distance g in
   add "verify/seq" (fun () -> Verify.is_remote_spanner g h ~alpha:1.0 ~beta:0.0);
   add "verify/par4" (fun () ->

@@ -48,9 +48,9 @@ let tests () =
        (stage (fun () -> Surgery.theorem2_paths gnp h ~k:2 0 (Graph.n gnp - 1))));
     (* multicore: same construction fanned over domains *)
     Test.make ~name:"(1,0)-RS-par4/udg300"
-      (stage (fun () -> Parallel.exact_distance ~domains:4 udg));
+      (stage (fun () -> Sharded.build ~domains:4 udg (Sharded.Gdy_k { k = 1 })));
     Test.make ~name:"2conn-RS-par4/udg300"
-      (stage (fun () -> Parallel.two_connecting ~domains:4 udg));
+      (stage (fun () -> Sharded.build ~domains:4 udg (Sharded.Mis_k { k = 2 })));
   ]
 
 (* Runs the grouped benchmarks, prints the human table, and returns the

@@ -246,15 +246,29 @@ let algo_enum =
     ("baswana-sen", `Baswana); ("additive2", `Additive2); ("bfs-tree", `Bfs_tree); ("edge-two-connecting", `Edge_two);
     ("full", `Full) ]
 
+(* The paper's constructions: the tree spec of each --algo, which
+   `build` runs through Sharded (under the span name of the matching
+   Remote_spanner entry point) and heal/snapshot/serve maintain through
+   Repair. *)
+type paper =
+  [ `Exact | `Low_stretch | `Low_stretch_gdy | `K_connecting | `Two_connecting
+  | `K_connecting_mis ]
+
+let paper_spec (algo : paper) ~eps ~k =
+  match algo with
+  | `Exact -> ("exact_distance", Sharded.Gdy_k { k = 1 })
+  | `Low_stretch -> ("low_stretch", Sharded.Mis { r = Remote_spanner.r_of_eps eps })
+  | `Low_stretch_gdy -> ("rem_span", Sharded.Gdy { r = Remote_spanner.r_of_eps eps; beta = 1 })
+  | `K_connecting -> ("k_connecting", Sharded.Gdy_k { k })
+  | `Two_connecting -> ("k_connecting_mis", Sharded.Mis_k { k = 2 })
+  | `K_connecting_mis -> ("k_connecting_mis", Sharded.Mis_k { k })
+
 let build_algo algo ~eps ~k ~seed g =
   match algo with
-  | `Exact -> Remote_spanner.exact_distance g
-  | `Low_stretch -> Remote_spanner.low_stretch g ~eps
-  | `Low_stretch_gdy -> Remote_spanner.rem_span g ~r:(Remote_spanner.r_of_eps eps) ~beta:1
-  | `K_connecting -> Remote_spanner.k_connecting g ~k
-  | `Two_connecting -> Remote_spanner.two_connecting g
+  | #paper as a ->
+      let name, spec = paper_spec a ~eps ~k in
+      Obs.with_span ("build/" ^ name) (fun () -> Sharded.build ~domains:1 g spec)
   | `Edge_two -> Extensions.edge_two_connecting g
-  | `K_connecting_mis -> Remote_spanner.k_connecting_mis g ~k
   | `Mpr -> Mpr.relay_union g Mpr.select
   | `Greedy -> Baseline.greedy_spanner g ~k
   | `Baswana -> Baseline.baswana_sen (Rand.create seed) g ~k
@@ -1040,17 +1054,11 @@ let churn_cmd =
 (* ------------------------------------------------------------------ *)
 (* heal *)
 
-(* The constructions the dynamic-repair layer can maintain, keyed by
-   the same --algo names as `rspan build`. *)
+(* The constructions the dynamic-repair layer can maintain: the paper
+   rows of `rspan build`. *)
 let repair_spec_of algo ~eps ~k =
-  let module Repair = Rs_dynamic.Repair in
   match algo with
-  | `Exact -> Ok (Repair.Gdy_k { k = 1 })
-  | `Low_stretch -> Ok (Repair.Mis { r = Remote_spanner.r_of_eps eps })
-  | `Low_stretch_gdy -> Ok (Repair.Gdy { r = Remote_spanner.r_of_eps eps; beta = 1 })
-  | `K_connecting -> Ok (Repair.Gdy_k { k })
-  | `Two_connecting -> Ok (Repair.Mis_k { k = 2 })
-  | `K_connecting_mis -> Ok (Repair.Mis_k { k })
+  | #paper as a -> Ok (snd (paper_spec a ~eps ~k))
   | _ ->
       Error
         (`Msg

@@ -106,58 +106,83 @@ let gdy_k ?scratch g ~k u =
   gdy_k_emit g ~k ~sphere u ~add:(fun p c -> Tree.add_edge t ~parent:p ~child:c);
   t
 
-let mis_k ?scratch g ~k u =
-  if k < 1 then invalid_arg "Dom_tree_k.mis_k: k < 1";
+(* Edge-emitting core of Algorithm 5, over the CSR like {!gdy_k_emit}.
+   A mis_k tree has depth <= 2 (root, relays, attached sphere nodes),
+   so the tree-parent relation alone (-1 off the tree; a stamped array
+   in the batched builder) gives membership and first hops: a relay is
+   its own first hop, a sphere node's is its parent. The 2-sphere sets S and X
+   are flags over [sphere] positions; [sphere] is id-sorted, so the
+   smallest-id pick is the first live position. *)
+let mis_k_emit g ~k ~sphere ~parent u ~add =
   Obs.incr c_trees;
-  let sc = scratch_or scratch in
-  Bfs.Scratch.run ~radius:2 sc g u;
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
-  let sphere = sphere2_of sc in
-  if Obs.enabled () then Obs.observe h_sphere (float_of_int (Array.length sphere));
-  let s = Hashtbl.create 64 in
-  Array.iter (fun v -> Hashtbl.replace s v ()) sphere;
+  let ns = Array.length sphere in
+  if Obs.enabled () then Obs.observe h_sphere (float_of_int ns);
+  let elt_of = Hashtbl.create ns in
+  Array.iteri (fun i v -> Hashtbl.replace elt_of v i) sphere;
+  let mem v = parent v >= 0 in
+  let common w = Graph.mem_edge g u w in
   let dominated v =
-    common_neighbors g u v |> List.for_all (fun w -> Tree.mem t w)
-    || disjoint_branch_count g t ~beta:1 v >= k
+    let all_in = ref true and hops = ref [] and nhops = ref 0 in
+    Graph.iter_neighbors g v (fun x ->
+        if common x && not (mem x) then all_in := false;
+        if x <> u && mem x then begin
+          let p = parent x in
+          let h = if p = u then x else p in
+          if not (List.mem h !hops) then begin
+            hops := h :: !hops;
+            incr nhops
+          end
+        end);
+    !all_in || !nhops >= k
   in
+  let s = Array.make ns true in
   let prune () =
-    Hashtbl.iter (fun v () -> if dominated v then Hashtbl.remove s v) (Hashtbl.copy s)
+    for i = 0 to ns - 1 do
+      if s.(i) && dominated sphere.(i) then s.(i) <- false
+    done
   in
   for _round = 1 to k do
-    let x_set = Hashtbl.copy s in
-    let continue = ref true in
-    while !continue && Hashtbl.length x_set > 0 && Hashtbl.length s > 0 do
-      (* pick the smallest-id x in S ∩ X *)
-      let x =
-        Hashtbl.fold
-          (fun v () acc -> if Hashtbl.mem s v && (acc < 0 || v < acc) then v else acc)
-          x_set (-1)
-      in
-      if x < 0 then continue := false
-      else begin
-        let fresh =
-          common_neighbors g u x |> List.filter (fun y -> not (Tree.mem t y))
-        in
-        (* The paper's invariant: a picked x always has a fresh common
-           neighbor, else the first removal rule would have pruned it. *)
-        assert (fresh <> []);
-        let chosen = List.filteri (fun i _ -> i < k) fresh in
-        (match chosen with
-        | y1 :: rest ->
-            Tree.add_edge t ~parent:u ~child:y1;
-            if not (Tree.mem t x) then Tree.add_edge t ~parent:y1 ~child:x;
-            List.iter (fun y -> Tree.add_edge t ~parent:u ~child:y) rest
-        | [] -> assert false);
-        prune ();
-        (* X := X \ B_G(x, 1) *)
-        Hashtbl.remove x_set x;
-        Array.iter (fun w -> Hashtbl.remove x_set w) (Graph.neighbors g x)
-      end
+    let x_set = Array.copy s in
+    let rec pick i = if i >= ns || (s.(i) && x_set.(i)) then i else pick (i + 1) in
+    let i = ref (pick 0) in
+    while !i < ns do
+      let x = sphere.(!i) in
+      (* the first k common neighbors of u and x not yet in the tree *)
+      let fresh = ref [] and nfresh = ref 0 in
+      Graph.iter_neighbors g x (fun y ->
+          if !nfresh < k && common y && not (mem y) then begin
+            fresh := y :: !fresh;
+            incr nfresh
+          end);
+      (* The paper's invariant: a picked x always has a fresh common
+         neighbor, else the first removal rule would have pruned it. *)
+      (match List.rev !fresh with
+      | y1 :: rest ->
+          add u y1;
+          if not (mem x) then add y1 x;
+          List.iter (fun y -> add u y) rest
+      | [] -> assert false);
+      prune ();
+      (* X := X \ B_G(x, 1) *)
+      x_set.(!i) <- false;
+      Graph.iter_neighbors g x (fun w ->
+          match Hashtbl.find_opt elt_of w with Some j -> x_set.(j) <- false | None -> ());
+      i := pick !i
     done
   done;
   (* By Proposition 7 the loop empties S; keep a defensive check so a
      violated invariant fails loudly in tests rather than silently. *)
-  assert (Hashtbl.length s = 0);
+  assert (not (Array.exists Fun.id s))
+
+let mis_k ?scratch g ~k u =
+  if k < 1 then invalid_arg "Dom_tree_k.mis_k: k < 1";
+  let s = scratch_or scratch in
+  Bfs.Scratch.run ~radius:2 s g u;
+  let t = Tree.create ~n:(Graph.n g) ~root:u in
+  mis_k_emit g ~k ~sphere:(sphere2_of s)
+    ~parent:(fun v -> if Tree.mem t v then Tree.parent t v else -1)
+    u
+    ~add:(fun p c -> Tree.add_edge t ~parent:p ~child:c);
   t
 
 let extract_k21 g h ~k u =

@@ -53,6 +53,21 @@ val mis_k : ?scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> Tree.t
     [k-1] further fresh relays become extra root children. O(k^2)
     edges on unit ball graphs of doubling metrics (Proposition 7). *)
 
+val mis_k_emit :
+  Graph.t ->
+  k:int ->
+  sphere:int array ->
+  parent:(int -> int) ->
+  int ->
+  add:(int -> int -> unit) ->
+  unit
+(** Edge-emitting core of {!mis_k}, the counterpart of {!gdy_k_emit}:
+    [sphere] is the id-sorted 2-sphere of the root, [parent v] the
+    current tree parent of [v] ([-1] off the tree, the root maps to
+    itself) and [add p c] must attach [c] under [p] so that [parent]
+    sees it. Reads the CSR only; edges and metrics identical to
+    {!mis_k}. Assumes [k >= 1]. *)
+
 val extract_k21 : Graph.t -> Edge_set.t -> k:int -> int -> Tree.t option
 (** [extract_k21 g h ~k u] greedily builds a k-connecting
     (2,1)-dominating tree for [u] using only edges of [h]: relays come

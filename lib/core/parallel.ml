@@ -1,89 +1,9 @@
 open Rs_graph
 module Obs = Rs_obs.Obs
 
-(* The scheduler primitives (work-stealing drive, domain metrics) and
-   the domain cap live in [Sharded] now, shared with the batched
-   builder; this module re-exports them and keeps the tree-at-a-time
-   union for constructions the batched engine doesn't cover. *)
-let default_domains = Sharded.default_domains
-let record_domain = Sharded.record_domain
-let drive = Sharded.drive
-
-(* Same counter the sequential union uses, so the parallel path's
-   metrics sum to the sequential run's (asserted by a property test). *)
-let c_trees = Obs.counter "core/trees_built"
-
-let union_trees_with ?domains g make_tree_of =
-  Obs.with_span "parallel/union_trees" @@ fun () ->
-  let domains = match domains with Some d -> max 1 d | None -> default_domains () in
-  let n = Graph.n g in
-  if domains = 1 || n < 64 then begin
-    let t0 = if Obs.enabled () then Obs.now () else 0.0 in
-    let acc = Edge_set.create g in
-    let tree_of = make_tree_of () in
-    for u = 0 to n - 1 do
-      Obs.incr c_trees;
-      Tree.add_to acc (tree_of u)
-    done;
-    if Obs.enabled () then record_domain n (Obs.now () -. t0);
-    acc
-  end
-  else begin
-    let result = Edge_set.create g in
-    let mutex = Mutex.create () in
-    drive ~n ~domains
-      ~stop:(fun () -> false)
-      (fun claim ->
-        (* per-domain state: a private tree builder (with its own BFS
-           scratch) and a private accumulator, merged under the mutex
-           once when the domain runs out of chunks *)
-        let tree_of = make_tree_of () in
-        let acc = Edge_set.create g in
-        let items = ref 0 in
-        let rec loop () =
-          match claim () with
-          | None -> ()
-          | Some (lo, hi) ->
-              for u = lo to hi do
-                Obs.incr c_trees;
-                Tree.add_to acc (tree_of u)
-              done;
-              items := !items + (hi - lo + 1);
-              loop ()
-        in
-        loop ();
-        Mutex.lock mutex;
-        Edge_set.union_into result acc;
-        Mutex.unlock mutex;
-        !items);
-    result
-  end
-
-let union_trees ?domains g tree_of = union_trees_with ?domains g (fun () -> tree_of)
-
-(* Entry points with a batched counterpart route through the sharded
-   builder (multi-source BFS batches + flat edge-id accumulators);
-   [two_connecting]'s mis_k trees stay on the per-root union. *)
-let rem_span ?domains g ~r ~beta = Sharded.build ?domains g (Sharded.Gdy { r; beta })
-
-let exact_distance ?domains g = Sharded.build ?domains g (Sharded.Gdy_k { k = 1 })
-
-let low_stretch ?domains g ~eps =
-  Sharded.build ?domains g (Sharded.Mis { r = Remote_spanner.r_of_eps eps })
-
-let k_connecting ?domains g ~k = Sharded.build ?domains g (Sharded.Gdy_k { k })
-
-let two_connecting ?domains g =
-  (* mis_k probes Graph.neighbors; build the memoized adjacency here so
-     the worker domains don't all pay the O(n + m) copy on first access *)
-  Graph.force_adj g;
-  union_trees_with ?domains g (fun () ->
-      let scratch = Bfs.Scratch.create () in
-      Dom_tree_k.mis_k ~scratch g ~k:2)
-
 let is_remote_spanner ?domains g h ~alpha ~beta =
   Obs.with_span "parallel/is_remote_spanner" @@ fun () ->
-  let domains = match domains with Some d -> max 1 d | None -> default_domains () in
+  let domains = match domains with Some d -> max 1 d | None -> Sharded.default_domains () in
   let n = Graph.n g in
   let h_adj = Edge_set.to_adjacency h in
   let ok = Atomic.make true in
@@ -105,36 +25,26 @@ let is_remote_spanner ?domains g h ~alpha ~beta =
     done;
     if !violated then Atomic.set ok false
   in
-  if domains = 1 || n < 64 then begin
-    let t0 = if Obs.enabled () then Obs.now () else 0.0 in
-    let sg = Bfs.Scratch.create () and sh = Bfs.Scratch.create () in
-    let u = ref 0 in
-    while Atomic.get ok && !u < n do
-      check_source sg sh !u;
-      incr u
-    done;
-    record_domain !u (if Obs.enabled () then Obs.now () -. t0 else 0.0)
-  end
-  else
-    drive ~n ~domains
-      ~stop:(fun () -> not (Atomic.get ok))
-      (fun claim ->
-        let sg = Bfs.Scratch.create () and sh = Bfs.Scratch.create () in
-        let items = ref 0 in
-        let rec loop () =
-          match claim () with
-          | None -> ()
-          | Some (lo, hi) ->
-              let u = ref lo in
-              (* early abort: a violation anywhere stops every domain
-                 at its next chunk claim (and this one mid-chunk) *)
-              while Atomic.get ok && !u <= hi do
-                check_source sg sh !u;
-                incr u
-              done;
-              items := !items + (!u - lo);
-              loop ()
-        in
-        loop ();
-        !items);
+  Sharded.drive ~n
+    ~domains:(if n < 64 then 1 else domains)
+    ~stop:(fun () -> not (Atomic.get ok))
+    (fun claim ->
+      let sg = Bfs.Scratch.create () and sh = Bfs.Scratch.create () in
+      let items = ref 0 in
+      let rec loop () =
+        match claim () with
+        | None -> ()
+        | Some (lo, hi) ->
+            let u = ref lo in
+            (* early abort: a violation anywhere stops every domain
+               at its next chunk claim (and this one mid-chunk) *)
+            while Atomic.get ok && !u <= hi do
+              check_source sg sh !u;
+              incr u
+            done;
+            items := !items + (!u - lo);
+            loop ()
+      in
+      loop ();
+      !items);
   Atomic.get ok

@@ -1,58 +1,14 @@
-(** Multicore construction of remote-spanners (OCaml 5 domains).
+(** Multicore stretch verification (OCaml 5 domains).
 
-    Every construction in this library is a union of per-node
-    dominating trees, and each tree depends only on a constant-radius
-    neighborhood — the same locality that makes the distributed
-    algorithms constant-time makes the centralized ones embarrassingly
-    parallel. This module fans the per-node tree computations out over
-    domains and unions the results; outputs are bit-identical to the
-    sequential versions (the per-node computations are deterministic
-    and independent). *)
+    Multicore construction lives in {!Sharded.build} [?domains]; this
+    module keeps the parallel counterpart of the exhaustive oracle. *)
 
 open Rs_graph
-
-val default_domains : unit -> int
-(** [Domain.recommended_domain_count], capped at 8. *)
-
-val drive :
-  ?chunk:int -> n:int -> domains:int -> stop:(unit -> bool) ->
-  ((unit -> (int * int) option) -> int) -> unit
-(** The work-stealing scheduler behind every parallel sweep in this
-    library, re-exported from {!Sharded.drive}: each domain runs the
-    worker with a [claim] function handing out inclusive chunks of
-    [0, n) until the range is empty or [stop ()] is true, and returns
-    its item count for the domain-balance histograms. *)
-
-val union_trees : ?domains:int -> Graph.t -> (int -> Tree.t) -> Edge_set.t
-(** Parallel version of {!Remote_spanner.union_trees}: domains claim
-    chunks of the vertex range off a shared atomic cursor
-    (work-stealing — a domain that lands on cheap vertices claims more
-    chunks instead of idling at a static block boundary), build each
-    chunk's trees into a private edge set, and merge once when they run
-    dry. [tree_of] must be safe to call concurrently on distinct
-    vertices (all constructions in this library are: they only read
-    the immutable graph). *)
-
-val union_trees_with : ?domains:int -> Graph.t -> (unit -> int -> Tree.t) -> Edge_set.t
-(** Like {!union_trees}, but the factory is invoked once per domain so
-    each domain can hold private mutable state — typically a
-    {!Bfs.Scratch.t} captured by the returned tree builder, which must
-    never be shared between domains. The entry points below use this to
-    give every domain its own reusable traversal scratch. *)
-
-val rem_span : ?domains:int -> Graph.t -> r:int -> beta:int -> Edge_set.t
-val exact_distance : ?domains:int -> Graph.t -> Edge_set.t
-val low_stretch : ?domains:int -> Graph.t -> eps:float -> Edge_set.t
-val k_connecting : ?domains:int -> Graph.t -> k:int -> Edge_set.t
-val two_connecting : ?domains:int -> Graph.t -> Edge_set.t
-(** Parallel counterparts of the {!Remote_spanner} entry points. All
-    but [two_connecting] route through {!Sharded.build} (batched
-    multi-source BFS, flat edge-id merge); [two_connecting]'s mis_k
-    trees stay on the per-root {!union_trees_with}. *)
 
 val is_remote_spanner :
   ?domains:int -> Graph.t -> Edge_set.t -> alpha:float -> beta:float -> bool
 (** Parallel counterpart of {!Verify.is_remote_spanner}: the per-source
-    BFS checks are independent, so sources are fanned over domains.
-    Same answer as the sequential oracle (asserted in tests); lets the
-    harness verify stretch exhaustively on graphs several times larger. *)
+    BFS checks are independent, so sources are fanned over domains by
+    {!Sharded.drive}. Same answer as the sequential oracle (asserted in
+    tests); lets the harness verify stretch exhaustively on graphs
+    several times larger. *)

@@ -2,53 +2,27 @@ open Rs_graph
 module Sim = Rs_distributed.Sim
 module Obs = Rs_obs.Obs
 
-let c_union_trees = Obs.counter "core/trees_built"
 let g_spanner_edges = Obs.gauge "core/spanner_edges"
-
-let union_trees g tree_of =
-  let h = Edge_set.create g in
-  Graph.iter_vertices
-    (fun u ->
-      Obs.incr c_union_trees;
-      Tree.add_to h (tree_of u))
-    g;
-  h
-
-(* Entry points record a span and the result's edge count, so
-   [rspan profile] can attribute time and size per construction. *)
-let built h =
-  Obs.set_gauge g_spanner_edges (float_of_int (Edge_set.cardinal h));
-  h
 
 let r_of_eps eps =
   if eps <= 0.0 || eps > 1.0 then invalid_arg "Remote_spanner.r_of_eps: need 0 < eps <= 1";
   int_of_float (Float.ceil (1.0 /. eps)) + 1
 
-(* Single-domain instances of the batched builder: roots advance
-   [Msbfs.width] at a time through the multi-source BFS and emit into
-   flat edge-id accumulators — same edge sets and same counter totals
-   as the historical one-scratch-per-run tree loop, at a fraction of
-   the per-root cost (see docs/PERFORMANCE.md, "Scaling"). *)
-let rem_span g ~r ~beta =
-  Obs.with_span "build/rem_span" (fun () ->
-      built (Sharded.build ~domains:1 g (Sharded.Gdy { r; beta })))
+(* Single-domain instances of the batched builder (see
+   docs/PERFORMANCE.md, "Scaling"). Each records a span and the
+   result's edge count, so [rspan profile] can attribute time and size
+   per construction. *)
+let build name strat g =
+  Obs.with_span ("build/" ^ name) (fun () ->
+      let h = Sharded.build ~domains:1 g strat in
+      Obs.set_gauge g_spanner_edges (float_of_int (Edge_set.cardinal h));
+      h)
 
-let low_stretch g ~eps =
-  Obs.with_span "build/low_stretch" (fun () ->
-      built (Sharded.build ~domains:1 g (Sharded.Mis { r = r_of_eps eps })))
-
-let exact_distance g =
-  Obs.with_span "build/exact_distance" (fun () ->
-      built (Sharded.build ~domains:1 g (Sharded.Gdy_k { k = 1 })))
-
-let k_connecting g ~k =
-  Obs.with_span "build/k_connecting" (fun () ->
-      built (Sharded.build ~domains:1 g (Sharded.Gdy_k { k })))
-
-let k_connecting_mis g ~k =
-  Obs.with_span "build/k_connecting_mis" (fun () ->
-      let scratch = Bfs.Scratch.create () in
-      built (union_trees g (Dom_tree_k.mis_k ~scratch g ~k)))
+let rem_span g ~r ~beta = build "rem_span" (Sharded.Gdy { r; beta }) g
+let low_stretch g ~eps = build "low_stretch" (Sharded.Mis { r = r_of_eps eps }) g
+let exact_distance g = build "exact_distance" (Sharded.Gdy_k { k = 1 }) g
+let k_connecting g ~k = build "k_connecting" (Sharded.Gdy_k { k }) g
+let k_connecting_mis g ~k = build "k_connecting_mis" (Sharded.Mis_k { k }) g
 
 let two_connecting g = k_connecting_mis g ~k:2
 

@@ -6,12 +6,11 @@
     entry points below compute each node's tree from global data —
     provably the same trees the distributed Algorithm 3 computes from
     r-hop neighborhood views ({!Distributed} runs that version through
-    the LOCAL-model simulator and returns round/message counts). *)
+    the LOCAL-model simulator and returns round/message counts). The
+    centralized entry points run {!Sharded.build} on one domain; call
+    it with [?domains] to fan out. *)
 
 open Rs_graph
-
-val union_trees : Graph.t -> (int -> Tree.t) -> Edge_set.t
-(** [union_trees g tree_of] unions [tree_of u] over every vertex. *)
 
 val r_of_eps : float -> int
 (** [r_of_eps eps = ceil(1/eps) + 1], the dominating-tree radius of

@@ -6,8 +6,10 @@ module Obs = Rs_obs.Obs
    domains by the work-stealing driver, and every domain accumulates
    canonical edge ids in a flat int array merged into one Edge_set at
    the end — no O(n) Tree.t per root, no per-tree Edge_set. This is
-   what takes construction from n = 2000 to n = 10^5..10^6; entry
-   points in [Remote_spanner] (domains = 1) and [Parallel] route here.
+   what takes construction from n = 2000 to n = 10^5..10^6. It is the
+   only driver that turns roots into trees: [Remote_spanner]'s entry
+   points (domains = 1) and [Rs_dynamic.Repair] (per-root trees via
+   [iter_trees]) route here.
 
    Edge sets are identical to the per-root sequential reference for
    any domain count, batch size or root order: each root's tree
@@ -18,11 +20,18 @@ type strategy =
   | Gdy of { r : int; beta : int }
   | Mis of { r : int }
   | Gdy_k of { k : int }
+  | Mis_k of { k : int }
+
+let pp_strategy fmt = function
+  | Gdy { r; beta } -> Format.fprintf fmt "gdy(r=%d,beta=%d)" r beta
+  | Mis { r } -> Format.fprintf fmt "mis(r=%d)" r
+  | Gdy_k { k } -> Format.fprintf fmt "gdy_k(k=%d)" k
+  | Mis_k { k } -> Format.fprintf fmt "mis_k(k=%d)" k
 
 let default_domains () = min 8 (Domain.recommended_domain_count ())
 
-(* Same counter the sequential union uses, so the batched path's
-   metrics sum to the sequential run's (asserted by a property test).
+(* One tick per emitted tree, so any domain count sums to the
+   one-domain run's metrics (asserted by a property test).
    Domain-balance histograms are observed from the coordinating thread
    after joins; the measurements themselves happen inside each domain. *)
 let c_trees = Obs.counter "core/trees_built"
@@ -108,17 +117,32 @@ let locality_order g =
 let radius_of = function
   | Gdy { r; beta } -> r + beta
   | Mis { r } -> r
-  | Gdy_k _ -> 2
+  | Gdy_k _ | Mis_k _ -> 2
 
 let validate = function
   | Gdy { r; beta } ->
       if r < 1 || beta < 0 then invalid_arg "Sharded.build: need r >= 1, beta >= 0"
   | Mis { r } -> if r < 1 then invalid_arg "Sharded.build: need r >= 1"
-  | Gdy_k { k } -> if k < 1 then invalid_arg "Sharded.build: need k >= 1"
+  | Gdy_k { k } | Mis_k { k } -> if k < 1 then invalid_arg "Sharded.build: need k >= 1"
+
+(* Growable flat int buffer: one root's emitted (parent, child) pairs,
+   or a domain's accumulated edge ids. *)
+type buf = { mutable a : int array; mutable len : int }
+
+let buf () = { a = Array.make 1024 0; len = 0 }
+
+let push b x =
+  if b.len >= Array.length b.a then begin
+    let fresh = Array.make (2 * Array.length b.a) 0 in
+    Array.blit b.a 0 fresh 0 b.len;
+    b.a <- fresh
+  end;
+  b.a.(b.len) <- x;
+  b.len <- b.len + 1
 
 (* Per-domain state. Distance, membership and local-remap arrays are
-   generation-stamped so per-root reset is O(1); [acc] packs emitted
-   canonical edge ids flat. *)
+   generation-stamped so per-root reset is O(1); [edges] packs the
+   current root's emitted pairs flat. *)
 type ctx = {
   ms : Msbfs.t;
   dist : int array;
@@ -126,13 +150,13 @@ type ctx = {
   mutable dgen : int;
   memb : int array; (* tree membership, stamped per root *)
   mutable mgen : int;
+  tpar : int array; (* tree parent of a member (mis_k) *)
   dead : Bfs.Marks.t; (* MIS removals *)
   q : int array; (* halo-collection queue (local mode) *)
   lmap : int array; (* global id -> local id, stamped per batch *)
   lstamp : int array;
   mutable lgen : int;
-  mutable acc : int array;
-  mutable nacc : int;
+  edges : buf;
   mutable unsafe : int list; (* roots owed to the boundary-repair pass *)
 }
 
@@ -144,39 +168,15 @@ let create_ctx n =
     dgen = 0;
     memb = Array.make n 0;
     mgen = 0;
+    tpar = Array.make n 0;
     dead = Bfs.Marks.create ();
     q = Array.make n 0;
     lmap = Array.make n 0;
     lstamp = Array.make n 0;
     lgen = 0;
-    acc = Array.make 1024 0;
-    nacc = 0;
+    edges = buf ();
     unsafe = [];
   }
-
-let push_acc ctx id =
-  if ctx.nacc >= Array.length ctx.acc then begin
-    let fresh = Array.make (2 * Array.length ctx.acc) 0 in
-    Array.blit ctx.acc 0 fresh 0 ctx.nacc;
-    ctx.acc <- fresh
-  end;
-  ctx.acc.(ctx.nacc) <- id;
-  ctx.nacc <- ctx.nacc + 1
-
-(* sort + dedup the domain's flat id accumulator, then set bits in the
-   shared result under the caller's lock *)
-let merge_acc ctx result =
-  let a = Array.sub ctx.acc 0 ctx.nacc in
-  Array.sort Int.compare a;
-  let prev = ref (-1) in
-  Array.iter
-    (fun id ->
-      if id <> !prev then begin
-        Edge_set.add_id result id;
-        prev := id
-      end)
-    a;
-  ctx.nacc <- 0
 
 (* distances of one slot's ball into the stamped per-domain array *)
 let fill_dist ctx s =
@@ -205,19 +205,23 @@ let parent_of_csr off nbr ctx v =
 
 (* One root's tree, emitted from its Msbfs slot against graph [gg]
    (the host graph, or a shard's induced sub-graph in local mode —
-   [add_edge] translates back to host ids). *)
-let process_slot gg ctx strat s ~add_edge =
+   [host] translates back to host ids) and handed to [sink]. *)
+let process_slot gg ctx strat s ~host ~sink =
   let root = Msbfs.source ctx.ms s in
   Obs.incr c_trees;
   ctx.mgen <- ctx.mgen + 1;
-  let mgen = ctx.mgen and memb = ctx.memb in
+  let mgen = ctx.mgen and memb = ctx.memb and tpar = ctx.tpar in
   memb.(root) <- mgen;
+  tpar.(root) <- root;
+  ctx.edges.len <- 0;
   let mem v = memb.(v) = mgen in
   let add p c =
-    add_edge p c;
-    memb.(c) <- mgen
+    push ctx.edges (host p);
+    push ctx.edges (host c);
+    memb.(c) <- mgen;
+    tpar.(c) <- p
   in
-  match strat with
+  (match strat with
   | Gdy_k { k } ->
       let sphere = (Msbfs.levels ctx.ms s ~max_dist:2).(2) in
       Dom_tree_k.gdy_k_emit gg ~k ~sphere root ~add
@@ -233,11 +237,17 @@ let process_slot gg ctx strat s ~add_edge =
       Bfs.Marks.clear ctx.dead;
       Dom_tree.mis_emit gg ~r ~levels ~parent_of:(parent_of_csr off nbr ctx) ~mem ~add
         ~dead_mem:(Bfs.Marks.mem ctx.dead) ~dead_add:(Bfs.Marks.set ctx.dead)
+  | Mis_k { k } ->
+      let sphere = (Msbfs.levels ctx.ms s ~max_dist:2).(2) in
+      Dom_tree_k.mis_k_emit gg ~k ~sphere
+        ~parent:(fun v -> if mem v then tpar.(v) else -1)
+        root ~add);
+  sink (host root) ctx.edges.a (ctx.edges.len / 2)
 
-let process_batch g ctx strat roots =
+let process_batch g ctx strat roots ~sink =
   Msbfs.run ~radius:(radius_of strat) ctx.ms g roots;
   for s = 0 to Array.length roots - 1 do
-    process_slot g ctx strat s ~add_edge:(fun p c -> push_acc ctx (Graph.edge_id g p c))
+    process_slot g ctx strat s ~host:Fun.id ~sink
   done
 
 (* Local (shard-isolated) batch: materialize the induced sub-graph on
@@ -250,7 +260,7 @@ let process_batch g ctx strat roots =
    for the boundary-repair pass. The halo is deliberately radius-1,
    not radius: a full-radius halo would make every root safe but costs
    one more level of expansion per shard than the repair pass saves. *)
-let process_batch_local g ctx strat roots =
+let process_batch_local g ctx strat roots ~sink =
   let radius = radius_of strat in
   let off, nbr = Graph.csr g in
   (* roots + (radius-1)-halo in one bounded multi-source sweep (not a
@@ -331,11 +341,63 @@ let process_batch_local g ctx strat roots =
   for s = 0 to Array.length lroots - 1 do
     let safe = ref true in
     Msbfs.iter_visited ctx.ms s (fun v d -> if d < radius && fringe.(v) then safe := false);
-    if !safe then
-      process_slot lg ctx strat s
-        ~add_edge:(fun p c -> push_acc ctx (Graph.edge_id g verts.(p) verts.(c)))
+    if !safe then process_slot lg ctx strat s ~host:(Array.get verts) ~sink
     else ctx.unsafe <- verts.(Msbfs.source ctx.ms s) :: ctx.unsafe
   done
+
+(* The engine: every root of [roots] is run through Msbfs batches of
+   [chunk] fanned over [domains], and each root's emitted pairs go to
+   the sink [make_sink ()] built once per worker (so sinks may hold
+   per-domain state). Clipped roots of local mode are re-run in global
+   batches on the calling domain, with one more sink. *)
+let run ~domains ~chunk ~local g strat roots make_sink =
+  let n = Graph.n g in
+  let nroots = Array.length roots in
+  let mutex = Mutex.create () in
+  let boundary = ref [] in
+  drive ~chunk:1 ~n:((nroots + chunk - 1) / chunk) ~domains
+    ~stop:(fun () -> false)
+    (fun claim ->
+      let ctx = create_ctx n in
+      let sink = make_sink () in
+      let items = ref 0 in
+      let rec loop () =
+        match claim () with
+        | None -> ()
+        | Some (lo, hi) ->
+            for b = lo to hi do
+              let blo = b * chunk in
+              let len = min chunk (nroots - blo) in
+              let batch = Array.sub roots blo len in
+              if local then process_batch_local g ctx strat batch ~sink
+              else process_batch g ctx strat batch ~sink;
+              items := !items + len
+            done;
+            loop ()
+      in
+      loop ();
+      Mutex.protect mutex (fun () -> boundary := List.rev_append ctx.unsafe !boundary);
+      !items);
+  (* Boundary repair. The edge set is already deterministic (each
+     root's tree is a function of the graph), so the sort only
+     stabilizes batching for metrics. *)
+  match !boundary with
+  | [] -> ()
+  | l ->
+      let roots = Array.of_list l in
+      Array.sort Int.compare roots;
+      let ctx = create_ctx n and sink = make_sink () in
+      let nb = Array.length roots in
+      let i = ref 0 in
+      while !i < nb do
+        let len = min Msbfs.width (nb - !i) in
+        process_batch g ctx strat (Array.sub roots !i len) ~sink;
+        i := !i + len
+      done
+
+let iter_trees g strat roots f =
+  validate strat;
+  run ~domains:1 ~chunk:Msbfs.width ~local:false g strat roots (fun () -> f)
 
 let build ?domains ?order ?chunk ?(local = false) g strat =
   validate strat;
@@ -362,51 +424,20 @@ let build ?domains ?order ?chunk ?(local = false) g strat =
         o
     | None -> locality_order g
   in
+  (* one flat id accumulator per sink, merged once every domain joined *)
+  let accs = ref [] and mutex = Mutex.create () in
+  run ~domains ~chunk ~local g strat order (fun () ->
+      let acc = buf () in
+      Mutex.protect mutex (fun () -> accs := acc :: !accs);
+      fun _root pairs len ->
+        for i = 0 to len - 1 do
+          push acc (Graph.edge_id g pairs.(2 * i) pairs.((2 * i) + 1))
+        done);
   let result = Edge_set.create g in
-  let mutex = Mutex.create () in
-  let boundary = ref [] in
-  let nbatches = (n + chunk - 1) / chunk in
-  drive ~chunk:1 ~n:nbatches ~domains
-    ~stop:(fun () -> false)
-    (fun claim ->
-      let ctx = create_ctx n in
-      let items = ref 0 in
-      let rec loop () =
-        match claim () with
-        | None -> ()
-        | Some (lo, hi) ->
-            for b = lo to hi do
-              let blo = b * chunk in
-              let len = min chunk (n - blo) in
-              let roots = Array.sub order blo len in
-              if local then process_batch_local g ctx strat roots
-              else process_batch g ctx strat roots;
-              items := !items + len
-            done;
-            loop ()
-      in
-      loop ();
-      Mutex.lock mutex;
-      merge_acc ctx result;
-      boundary := List.rev_append ctx.unsafe !boundary;
-      Mutex.unlock mutex;
-      !items);
-  (* Boundary repair: roots whose shard ball was clipped re-run in
-     global batches on the calling domain. The edge set is already
-     deterministic (each root's tree is a function of the graph), so
-     the sort only stabilizes batching for metrics. *)
-  (match !boundary with
-  | [] -> ()
-  | l ->
-      let roots = Array.of_list l in
-      Array.sort Int.compare roots;
-      let ctx = create_ctx n in
-      let nb = Array.length roots in
-      let i = ref 0 in
-      while !i < nb do
-        let len = min Msbfs.width (nb - !i) in
-        process_batch g ctx strat (Array.sub roots !i len);
-        i := !i + len
-      done;
-      merge_acc ctx result);
+  List.iter
+    (fun acc ->
+      for i = 0 to acc.len - 1 do
+        Edge_set.add_id result acc.a.(i)
+      done)
+    !accs;
   result

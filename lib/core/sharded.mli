@@ -22,20 +22,22 @@
 
 open Rs_graph
 
-(** Which per-root tree to build: [Gdy] = Algorithm 1
-    ({!Dom_tree.gdy}), [Mis] = Algorithm 2 ({!Dom_tree.mis}),
-    [Gdy_k] = Algorithm 4 ({!Dom_tree_k.gdy_k}). *)
+(** Which per-root tree to build — the one spec type of the library
+    ({!Rs_dynamic.Repair.spec} and the snapshot codec re-export it).
+    The unions are {!Remote_spanner.rem_span}, [low_stretch],
+    [exact_distance]/[k_connecting] and
+    [k_connecting_mis]/[two_connecting] respectively. *)
 type strategy =
-  | Gdy of { r : int; beta : int }
-  | Mis of { r : int }
-  | Gdy_k of { k : int }
+  | Gdy of { r : int; beta : int }  (** Algorithm 1 trees ({!Dom_tree.gdy}) *)
+  | Mis of { r : int }  (** Algorithm 2 trees, beta = 1 ({!Dom_tree.mis}) *)
+  | Gdy_k of { k : int }  (** Algorithm 4 stars, (2,0) ({!Dom_tree_k.gdy_k}) *)
+  | Mis_k of { k : int }  (** Algorithm 5 trees, (2,1) ({!Dom_tree_k.mis_k}) *)
+
+val pp_strategy : Format.formatter -> strategy -> unit
+(** E.g. [gdy(r=3,beta=1)], [mis_k(k=2)]. *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count], capped at 8. *)
-
-val record_domain : int -> float -> unit
-(** [record_domain items wall_s] feeds the [parallel/domain_items] and
-    [parallel/domain_wall_s] histograms (no-op when metrics are off). *)
 
 val drive :
   ?chunk:int -> n:int -> domains:int -> stop:(unit -> bool) ->
@@ -43,9 +45,11 @@ val drive :
 (** Work-stealing scheduler over the range [0, n): each of [domains]
     domains (the calling one included) runs the worker with a [claim]
     function handing out inclusive chunks until the range is empty or
-    [stop ()] is true; the worker returns its item count, recorded via
-    {!record_domain}. [~chunk] overrides the auto-sized chunk (use [1]
-    when each index is already a coarse unit of work). *)
+    [stop ()] is true; the worker returns its item count, recorded with
+    its wall time in the [parallel/domain_items] and
+    [parallel/domain_wall_s] histograms. [~chunk] overrides the
+    auto-sized chunk (use [1] when each index is already a coarse unit
+    of work). *)
 
 val locality_order : Graph.t -> int array
 (** Multi-restart BFS visit order: a permutation in which consecutive
@@ -63,8 +67,8 @@ val build :
   Edge_set.t
 (** [build g strat] is the union of [strat]'s dominating trees over
     all roots — the same edge set as
-    [Remote_spanner.union_trees g (tree_of strat)], built batched and
-    sharded. [?domains] defaults to {!default_domains} (forced to 1
+    the per-root trees of {!Dom_tree}/{!Dom_tree_k} unioned root by
+    root, built batched and sharded. [?domains] defaults to {!default_domains} (forced to 1
     below 64 vertices); [?order] overrides the root order (a
     permutation of the vertex range — e.g.
     [Rs_geometry.Proximity.grid_order] for geometric graphs, any
@@ -82,3 +86,14 @@ val build :
     Raises [Invalid_argument] on invalid strategy parameters or an
     [order] that is not a permutation of [0 .. n-1] (wrong length,
     out-of-range entry, or duplicate). *)
+
+val iter_trees : Graph.t -> strategy -> int array -> (int -> int array -> int -> unit) -> unit
+(** [iter_trees g strat roots f] builds the tree of every root in
+    [roots] on the calling domain, [Msbfs.width] roots per batch in the
+    given order, and calls [f root pairs len] once per root: its
+    emitted [(parent, child)] edges are
+    [pairs.(2i), pairs.(2i+1)] for [i < len], in emission order (every
+    parent is the root or an earlier child). [pairs] is reused by the
+    next call — copy what you keep. The engine behind {!build}, for
+    callers that keep trees per root. Raises [Invalid_argument] on
+    invalid strategy parameters. *)

@@ -1,19 +1,16 @@
 open Rs_graph
 module Dom_tree = Rs_core.Dom_tree
 module Dom_tree_k = Rs_core.Dom_tree_k
+module Sharded = Rs_core.Sharded
 module Obs = Rs_obs.Obs
 
-type spec =
+type spec = Sharded.strategy =
   | Gdy of { r : int; beta : int }
   | Mis of { r : int }
   | Gdy_k of { k : int }
   | Mis_k of { k : int }
 
-let pp_spec fmt = function
-  | Gdy { r; beta } -> Format.fprintf fmt "gdy(r=%d,beta=%d)" r beta
-  | Mis { r } -> Format.fprintf fmt "mis(r=%d)" r
-  | Gdy_k { k } -> Format.fprintf fmt "gdy_k(k=%d)" k
-  | Mis_k { k } -> Format.fprintf fmt "mis_k(k=%d)" k
+let pp_spec = Sharded.pp_strategy
 
 (* Locality radii, by inspection of the constructions:
    - [Dom_tree.gdy g ~r ~beta u] explores B(u, r + beta) but only ever
@@ -44,13 +41,6 @@ let alpha_beta = function
   | Mis_k _ -> Some (2.0, -1.0)
   | Gdy _ | Mis _ -> None
 
-let tree_of spec ~scratch g u =
-  match spec with
-  | Gdy { r; beta } -> Dom_tree.gdy ~scratch g ~r ~beta u
-  | Mis { r } -> Dom_tree.mis ~scratch g ~r u
-  | Gdy_k { k } -> Dom_tree_k.gdy_k ~scratch g ~k u
-  | Mis_k { k } -> Dom_tree_k.mis_k ~scratch g ~k u
-
 let tree_valid spec g t =
   match spec with
   | Gdy { r; beta } -> Dom_tree.is_dominating g ~r ~beta t
@@ -75,11 +65,13 @@ let h_latency = Obs.histogram "repair/latency"
 type t = {
   spec : spec;
   mutable g : Graph.t;
-  mutable tree_edges : (int * int) list array;
-      (* per root: (parent, child), shallow-first, so trees rebuild by
-         replaying [Tree.add_edge] in order *)
-  counts : (int * int, int) Hashtbl.t;  (* canonical pair -> #owning trees *)
-  scratch : Bfs.Scratch.t;  (* constructions + dirty-set traversal *)
+  trees : int array array;
+      (* per root: p0 c0 p1 c1 ... flat, shallow-first — sorted by
+         (child depth, child), so parents precede children *)
+  mutable counts : int array;  (* edge id of [g] -> #trees holding it *)
+  depth : int array;  (* ordering scratch for [shallow_first] *)
+  par : int array;
+  scratch : Bfs.Scratch.t;  (* dirty-set traversal *)
   verify_scratch : Bfs.Scratch.t;  (* second lane for the (alpha, beta) gate *)
   mutable spanner : Edge_set.t;
 }
@@ -87,81 +79,80 @@ type t = {
 let graph st = st.g
 let spanner st = st.spanner
 let publish st = (st.g, st.spanner)
+let pairs st = Edge_set.to_list st.spanner
 
-let pairs st =
-  List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) st.counts [])
+let create spec g =
+  let n = Graph.n g in
+  {
+    spec;
+    g;
+    trees = Array.make n [||];
+    counts = Array.make (Graph.m g) 0;
+    depth = Array.make n 0;
+    par = Array.make n 0;
+    scratch = Bfs.Scratch.create ();
+    verify_scratch = Bfs.Scratch.create ();
+    spanner = Edge_set.create g;
+  }
 
-let tree_edges st u = st.tree_edges.(u)
+(* Add [d] to the refcount of every edge of [tree], by [g]'s ids. *)
+let count st g tree d =
+  for i = 0 to (Array.length tree / 2) - 1 do
+    let id = Graph.edge_id g tree.(2 * i) tree.((2 * i) + 1) in
+    st.counts.(id) <- st.counts.(id) + d
+  done
 
-let canonical u v = if u <= v then (u, v) else (v, u)
+(* One root's emitted pairs in the order snapshots persist: by (child
+   depth, child), each child once. Emission puts every parent before
+   its children, so depths fill in one pass. *)
+let shallow_first st u pairs len =
+  let n = Array.length st.depth in
+  st.depth.(u) <- 0;
+  let keys = Array.make len 0 in
+  for i = 0 to len - 1 do
+    let p = pairs.(2 * i) and c = pairs.((2 * i) + 1) in
+    st.depth.(c) <- st.depth.(p) + 1;
+    st.par.(c) <- p;
+    keys.(i) <- (st.depth.(c) * n) + c
+  done;
+  Array.sort Int.compare keys;
+  let tree = ref [] in
+  Array.iteri
+    (fun i key ->
+      if i = 0 || key <> keys.(i - 1) then
+        let c = key mod n in
+        tree := c :: st.par.(c) :: !tree)
+    keys;
+  Array.of_list (List.rev !tree)
 
-(* Per-apply log of pairs whose membership may have flipped: pair ->
-   was it in the spanner before this apply. Lets [edges_changed] count
-   the symmetric difference in O(touched pairs), not O(m). *)
-let note changed counts p =
-  if not (Hashtbl.mem changed p) then Hashtbl.add changed p (Hashtbl.mem counts p)
+(* The trees of [roots] on [g], batched through the Sharded engine,
+   stored per root and counted by [g]'s edge ids. *)
+let build_trees st g roots =
+  Sharded.iter_trees g st.spec roots (fun u pairs len ->
+      let tree = shallow_first st u pairs len in
+      st.trees.(u) <- tree;
+      count st g tree 1)
 
-let incr_pair st changed (p, c) =
-  let key = canonical p c in
-  note changed st.counts key;
-  Hashtbl.replace st.counts key
-    (1 + Option.value ~default:0 (Hashtbl.find_opt st.counts key))
-
-let decr_pair st changed (p, c) =
-  let key = canonical p c in
-  note changed st.counts key;
-  match Hashtbl.find_opt st.counts key with
-  | Some 1 -> Hashtbl.remove st.counts key
-  | Some n -> Hashtbl.replace st.counts key (n - 1)
-  | None -> assert false
-
-(* Tree edges in a deterministic shallow-first order: parents always
-   precede children, so the list replays into a [Tree.t]. *)
-let ordered_edges tree =
-  Tree.edges tree
-  |> List.map (fun (p, c) -> (Tree.depth tree c, c, p))
-  |> List.sort compare
-  |> List.map (fun (_, c, p) -> (p, c))
-
-let stored_tree ~n u edges =
-  let t = Tree.create ~n ~root:u in
-  List.iter (fun (p, c) -> Tree.add_edge t ~parent:p ~child:c) edges;
-  t
-
-let recompute st changed g u =
-  List.iter (decr_pair st changed) st.tree_edges.(u);
-  let tree = tree_of st.spec ~scratch:st.scratch g u in
-  let edges = ordered_edges tree in
-  st.tree_edges.(u) <- edges;
-  List.iter (incr_pair st changed) edges
-
-let materialize st g =
+let materialize g counts =
   let es = Edge_set.create g in
-  Hashtbl.iter (fun (u, v) _ -> Edge_set.add es u v) st.counts;
+  Array.iteri (fun id c -> if c > 0 then Edge_set.add_id es id) counts;
   es
+
+let stored_tree ~n u tree =
+  let t = Tree.create ~n ~root:u in
+  for i = 0 to (Array.length tree / 2) - 1 do
+    Tree.add_edge t ~parent:tree.(2 * i) ~child:tree.((2 * i) + 1)
+  done;
+  t
 
 let init spec g =
   Obs.with_span "repair/init" (fun () ->
-      let n = Graph.n g in
-      let st =
-        {
-          spec;
-          g;
-          tree_edges = Array.make n [];
-          counts = Hashtbl.create (4 * n);
-          scratch = Bfs.Scratch.create ();
-          verify_scratch = Bfs.Scratch.create ();
-          spanner = Edge_set.create g;
-        }
-      in
-      let changed = Hashtbl.create 16 in
-      for u = 0 to n - 1 do
-        recompute st changed g u
-      done;
-      st.spanner <- materialize st g;
+      let st = create spec g in
+      build_trees st g (Sharded.locality_order g);
+      st.spanner <- materialize g st.counts;
       st)
 
-let build spec g = spanner (init spec g)
+let build spec g = Sharded.build ~domains:1 g spec
 
 let check ~what g spanners =
   List.iter
@@ -178,7 +169,10 @@ let check ~what g spanners =
       | _ -> ())
     spanners
 
-let export_trees st = Array.copy st.tree_edges
+let export_trees st =
+  Array.map
+    (fun tree -> List.init (Array.length tree / 2) (fun i -> (tree.(2 * i), tree.((2 * i) + 1))))
+    st.trees
 
 let restore spec g ~trees =
   let n = Graph.n g in
@@ -186,18 +180,7 @@ let restore spec g ~trees =
     failwith
       (Printf.sprintf "Repair.restore: %d stored trees for a %d-vertex graph"
          (Array.length trees) n);
-  let st =
-    {
-      spec;
-      g;
-      tree_edges = Array.make n [];
-      counts = Hashtbl.create (4 * n);
-      scratch = Bfs.Scratch.create ();
-      verify_scratch = Bfs.Scratch.create ();
-      spanner = Edge_set.create g;
-    }
-  in
-  let changed = Hashtbl.create 16 in
+  let st = create spec g in
   Array.iteri
     (fun u edges ->
       List.iter
@@ -207,22 +190,23 @@ let restore spec g ~trees =
               (Printf.sprintf
                  "Repair.restore: tree %d edge (%d,%d) absent from the graph" u p c))
         edges;
+      let tree = Array.of_list (List.concat_map (fun (p, c) -> [ p; c ]) edges) in
       (* replay through [Tree.add_edge] so a structurally bogus list
          (orphan child, conflicting parents) is rejected here, not
          discovered as a corrupt spanner later *)
-      (try ignore (stored_tree ~n u edges)
+      (try ignore (stored_tree ~n u tree)
        with Invalid_argument msg ->
          failwith (Printf.sprintf "Repair.restore: tree %d malformed: %s" u msg));
-      st.tree_edges.(u) <- edges;
-      List.iter (incr_pair st changed) edges)
+      st.trees.(u) <- tree;
+      count st g tree 1)
     trees;
-  st.spanner <- materialize st g;
+  st.spanner <- materialize g st.counts;
   st
 
 (* ------------------------------------------------------------------ *)
 (* apply *)
 
-type level = Local | Widened | Full
+type level = Local | Full
 
 type outcome = {
   dirty : int;
@@ -234,7 +218,6 @@ type outcome = {
 
 let pp_level fmt = function
   | Local -> Format.pp_print_string fmt "local"
-  | Widened -> Format.pp_print_string fmt "widened"
   | Full -> Format.pp_print_string fmt "full"
 
 let pp_outcome fmt o =
@@ -261,16 +244,31 @@ let seed_depths st ~old_g ~new_g ~seeds ~radius =
   scan new_g;
   depth
 
-(* Gate (a): every maintained edge must still exist in the new graph —
-   a retained (clean) tree referencing a vanished edge means the dirty
-   set missed a root. *)
-let gate_edges_exist st g' =
-  try
-    Hashtbl.iter
-      (fun (u, v) _ -> if not (Graph.mem_edge g' u v) then raise Exit)
-      st.counts;
-    true
-  with Exit -> false
+(* Old edge id -> new edge id, -1 for a removed edge: one merge over
+   the two canonical, lexicographically sorted edge arrays. *)
+let remap g g' =
+  let e' = Graph.edges g' in
+  let m' = Array.length e' in
+  let j = ref 0 in
+  Array.map
+    (fun (u, v) ->
+      let before (u', v') = u' < u || (u' = u && v' < v) in
+      while !j < m' && before e'.(!j) do
+        incr j
+      done;
+      if !j < m' && fst e'.(!j) = u && snd e'.(!j) = v then !j else -1)
+    (Graph.edges g)
+
+(* Carry the refcounts over to the new ids. Gate (a) falls out of the
+   merge: a still-referenced edge with no new id means a retained
+   (clean) tree uses a vanished edge, i.e. the dirty set missed a root. *)
+let carry_counts st ~map ~m =
+  let counts = Array.make m 0 and lost = ref false in
+  Array.iteri
+    (fun i c -> if map.(i) >= 0 then counts.(map.(i)) <- c else if c > 0 then lost := true)
+    st.counts;
+  st.counts <- counts;
+  not !lost
 
 (* Gate (b): clean trees on the fringe of the dirty region must still
    be dominating for their roots in the new graph. The fringe is
@@ -281,9 +279,7 @@ let gate_edges_exist st g' =
 let gate_fringe_valid st g' ~fringe ~recomputed =
   let n = Graph.n g' in
   List.for_all
-    (fun u ->
-      recomputed.(u)
-      || tree_valid st.spec g' (stored_tree ~n u st.tree_edges.(u)))
+    (fun u -> recomputed.(u) || tree_valid st.spec g' (stored_tree ~n u st.trees.(u)))
     fringe
 
 (* Gate (d): direct (alpha, beta) distance check from every dirty
@@ -332,16 +328,18 @@ let apply ?dirty_radius st delta =
       else begin
         (* Build the new graph straight from the net effect: [added]
            and [removed] are sorted canonical lists, and [Graph.edges]
-           is in the same order, so one filter + merge keeps the edge
-           list sorted without re-deriving the delta's edge tables. *)
+           is in the same order, so one pass dropping [removed] plus a
+           merge keeps the edge list sorted without re-deriving the
+           delta's edge tables. *)
         let g' =
-          let gone = Hashtbl.create 16 in
-          List.iter (fun p -> Hashtbl.replace gone p ()) removed;
-          let kept =
-            Array.to_list (Graph.edges st.g)
-            |> List.filter (fun p -> not (Hashtbl.mem gone p))
-          in
-          Graph.make ~n (List.merge compare kept added)
+          let rm = ref removed and kept = ref [] in
+          Array.iter
+            (fun p ->
+              match !rm with
+              | q :: rest when q = p -> rm := rest
+              | _ -> kept := p :: !kept)
+            (Graph.edges st.g);
+          Graph.make ~n (List.merge compare (List.rev !kept) added)
         in
         let seeds = Delta.touched ~added ~removed in
         let r_spec = radius st.spec in
@@ -358,72 +356,43 @@ let apply ?dirty_radius st delta =
         done;
         let dirty = !dirty and fringe = !fringe in
         Obs.add c_dirty (List.length dirty);
-        let changed = Hashtbl.create 64 in
+        let old_g = st.g and old_spanner = st.spanner in
         let recomputed = Array.make n false in
         let rebuild us =
+          let us = List.filter (fun u -> not recomputed.(u)) us in
+          List.iter (fun u -> recomputed.(u) <- true) us;
+          build_trees st g' (Array.of_list us)
+        in
+        (* Splice: release the dirty trees under the old ids, carry the
+           counts to the new ids, count the recomputed trees in. *)
+        let map, edges_kept =
           Obs.with_span "rebuild" @@ fun () ->
-          List.iter
-            (fun u ->
-              if not recomputed.(u) then begin
-                recomputed.(u) <- true;
-                recompute st changed g' u
-              end)
-            us
+          List.iter (fun u -> count st old_g st.trees.(u) (-1)) dirty;
+          let map = remap old_g g' in
+          let kept = carry_counts st ~map ~m:(Graph.m g') in
+          rebuild dirty;
+          (map, kept)
         in
-        rebuild dirty;
-        let escalations = ref 0 in
-        let gates_pass () =
-          Obs.with_span "gates" @@ fun () ->
-          gate_edges_exist st g'
-          &&
-          let h_adj =
-            (* adjacency straight off the refcounts: gate (a) just
-               certified every pair as a [g'] edge *)
-            let deg = Array.make n 0 in
-            Hashtbl.iter
-              (fun (u, v) _ ->
-                deg.(u) <- deg.(u) + 1;
-                deg.(v) <- deg.(v) + 1)
-              st.counts;
-            let adj = Array.init n (fun u -> Array.make deg.(u) 0) in
-            Hashtbl.iter
-              (fun (u, v) _ ->
-                deg.(u) <- deg.(u) - 1;
-                adj.(u).(deg.(u)) <- v;
-                deg.(v) <- deg.(v) - 1;
-                adj.(v).(deg.(v)) <- u)
-              st.counts;
-            adj
-          in
-          gate_fringe_valid st g' ~fringe ~recomputed
-          && gate_alpha_beta st g' ~h_adj ~dirty
-        in
+        st.spanner <- materialize g' st.counts;
         let level =
-          if gates_pass () then Local
+          if
+            Obs.with_span "gates" @@ fun () ->
+            edges_kept
+            && gate_fringe_valid st g' ~fringe ~recomputed
+            && gate_alpha_beta st g' ~h_adj:(Edge_set.to_adjacency st.spanner) ~dirty
+          then Local
           else begin
             Obs.incr c_gate_failures;
             Obs.incr c_escalations;
-            incr escalations;
-            (* Widened rung: 2-hop closure of the dirty region, again
-               in both graphs. *)
-            let closure =
-              seed_depths st ~old_g:st.g ~new_g:g' ~seeds:dirty ~radius:2
-            in
-            let widened = ref [] in
-            for v = n - 1 downto 0 do
-              if closure.(v) <= 2 then widened := v :: !widened
-            done;
-            rebuild !widened;
-            if gates_pass () then Widened
-            else begin
-              Obs.incr c_gate_failures;
-              Obs.incr c_escalations;
-              incr escalations;
-              (* Full rung: from-scratch rebuild on the new graph —
-                 correct by construction, no gate to pass. *)
-              rebuild (List.init n Fun.id);
-              Full
-            end
+            (* Full rebuild on the new graph —
+               correct by construction, no gate to pass. Counts restart
+               from the trees already recomputed. *)
+            Obs.with_span "rebuild" (fun () ->
+                st.counts <- Array.make (Graph.m g') 0;
+                Array.iteri (fun u tree -> if recomputed.(u) then count st g' tree 1) st.trees;
+                rebuild (List.init n Fun.id));
+            st.spanner <- materialize g' st.counts;
+            Full
           end
         in
         let rebuilt_total =
@@ -432,20 +401,19 @@ let apply ?dirty_radius st delta =
         Obs.add c_rebuilt rebuilt_total;
         Obs.add c_saved (n - rebuilt_total);
         st.g <- g';
-        st.spanner <- materialize st g';
-        let edges_changed =
-          Hashtbl.fold
-            (fun p before acc ->
-              if before <> Hashtbl.mem st.counts p then acc + 1 else acc)
-            changed 0
-        in
+        (* symmetric difference of the two spanners, matched by the id map *)
+        let both = ref 0 in
+        Array.iteri
+          (fun i j -> if j >= 0 && Edge_set.mem_id old_spanner i && st.counts.(j) > 0 then incr both)
+          map;
         Obs.observe h_latency ((Obs.now () -. t0) *. 1000.0);
         {
           dirty = List.length dirty;
           rebuilt = rebuilt_total;
-          escalations = !escalations;
+          escalations = (if level = Full then 1 else 0);
           level;
-          edges_changed;
+          edges_changed =
+            Edge_set.cardinal old_spanner + Edge_set.cardinal st.spanner - (2 * !both);
         }
       end)
 

@@ -11,38 +11,40 @@
 
     + computing the dirty set with bounded multi-source BFS from the
       delta's touched endpoints, at the spec's locality radius;
-    + recomputing dominating trees for dirty roots only (reusing one
-      {!Rs_graph.Bfs.Scratch} across roots, and the lazy greedy covers
-      underneath the constructions);
-    + splicing the new trees into the maintained edge multiset —
-      per-edge reference counts over canonical pairs, so an edge leaves
-      the spanner exactly when its last contributing tree drops it;
+    + recomputing dominating trees for dirty roots only, in
+      multi-source BFS batches through {!Rs_core.Sharded.iter_trees} —
+      the same engine as a from-scratch build;
+    + splicing the new trees into the maintained edge multiset — an
+      [int] reference count per {!Rs_graph.Graph.edge_id}, carried
+      from the old ids to the new ones by one merge over the two sorted
+      edge arrays, so an edge leaves the spanner exactly when its last
+      contributing tree drops it;
     + verifying the repair — every retained tree edge must survive in
-      the new graph, the clean trees on the dirty fringe must still be
-      dominating, and the (alpha, beta) stretch bound must hold from
-      every dirty source — and {e escalating} when verification fails:
-      dirty set -> 2-hop closure -> full rebuild (the ladder).
+      the new graph (decided by that merge), the clean trees on the
+      dirty fringe must still be dominating, and the (alpha, beta)
+      stretch bound must hold from every dirty source — and
+      {e escalating} to a full rebuild when verification fails.
 
-    With the correct locality radius the ladder never escalates and
-    the repaired spanner is identical, root tree by root tree, to a
-    from-scratch build on the new graph (the equivalence property
-    tests assert exactly this); the ladder exists so that an
-    under-estimated radius (see [?dirty_radius]) degrades to a wider,
-    costlier — but still verified — repair instead of a wrong one. *)
+    Per-root trees are kept as flat [int] arrays of [(parent, child)]
+    pairs; no [Tree.t] is held. With the correct locality radius the
+    repair never escalates and the repaired spanner is identical, root
+    tree by root tree, to a from-scratch build on the new graph (the
+    equivalence property tests assert exactly this); escalation exists
+    so that an under-estimated radius (see [?dirty_radius]) degrades to
+    a costlier — but still correct — repair instead of a wrong one. *)
 
 open Rs_graph
 
-(** Which dominating-tree family the maintained spanner unions. The
-    four specs correspond to {!Rs_core.Remote_spanner.rem_span},
-    [low_stretch], [exact_distance]/[k_connecting] and
-    [k_connecting_mis]/[two_connecting] respectively. *)
-type spec =
-  | Gdy of { r : int; beta : int }  (** Algorithm 1 trees *)
-  | Mis of { r : int }  (** Algorithm 2 trees (beta = 1) *)
-  | Gdy_k of { k : int }  (** Algorithm 4 stars, (2,0) *)
-  | Mis_k of { k : int }  (** Algorithm 5 trees, (2,1) *)
+(** Which dominating-tree family the maintained spanner unions:
+    {!Rs_core.Sharded.strategy}, re-exported. *)
+type spec = Rs_core.Sharded.strategy =
+  | Gdy of { r : int; beta : int }
+  | Mis of { r : int }
+  | Gdy_k of { k : int }
+  | Mis_k of { k : int }
 
 val pp_spec : Format.formatter -> spec -> unit
+(** {!Rs_core.Sharded.pp_strategy}. *)
 
 val radius : spec -> int
 (** Locality radius of the spec's tree construction: a root whose
@@ -56,8 +58,9 @@ val alpha_beta : spec -> (float * float) option
     those repairs are still gated on tree domination). *)
 
 val build : spec -> Graph.t -> Edge_set.t
-(** From-scratch union of the spec's trees over all roots — the
-    reference the repaired spanner is checked against. *)
+(** From-scratch union of the spec's trees over all roots —
+    [Rs_core.Sharded.build ~domains:1], the reference the repaired
+    spanner is checked against. *)
 
 val check : what:string -> Graph.t -> (spec * Edge_set.t) list -> unit
 (** The end-state oracle every gate in the repo applies to a published
@@ -74,7 +77,8 @@ type t
     union. *)
 
 val init : spec -> Graph.t -> t
-(** Full build: one tree per root (n bounded traversals). *)
+(** Full build: one tree per root, all roots batched through
+    {!Rs_core.Sharded.iter_trees} in locality order. *)
 
 val graph : t -> Graph.t
 (** The current host graph ({e after} all applied deltas). *)
@@ -96,15 +100,12 @@ val publish : t -> Graph.t * Edge_set.t
     generation — across later applies. This is the publication seam
     the resident service's atomic snapshot pointer is built on. *)
 
-val tree_edges : t -> int -> (int * int) list
-(** [(parent, child)] edges of the maintained tree of one root,
-    shallow-first. *)
-
 val export_trees : t -> (int * int) list array
-(** Per-root [(parent, child)] tree edge lists, shallow-first — the
+(** Per-root [(parent, child)] tree edge lists, shallow-first (by
+    child depth, then child id) — the
     exact state a durable snapshot must persist for {!restore} to
     resurrect this value without rerunning any construction. The
-    returned array is fresh; the lists are shared but immutable. *)
+    returned array and lists are fresh. *)
 
 val restore : spec -> Graph.t -> trees:(int * int) list array -> t
 (** Rebuild maintained state from stored per-root trees: refcounts and
@@ -117,13 +118,12 @@ val restore : spec -> Graph.t -> trees:(int * int) list array -> t
 
 type level =
   | Local  (** dirty set only — the fast path *)
-  | Widened  (** escalated once: 2-hop closure of the dirty set *)
-  | Full  (** escalated twice: from-scratch rebuild *)
+  | Full  (** a gate failed: from-scratch rebuild *)
 
 type outcome = {
-  dirty : int;  (** size of the initial dirty set *)
-  rebuilt : int;  (** trees recomputed, across all ladder rungs *)
-  escalations : int;  (** ladder rungs climbed (0 on the fast path) *)
+  dirty : int;  (** size of the dirty set *)
+  rebuilt : int;  (** trees recomputed, the full rebuild included *)
+  escalations : int;  (** 1 when the repair fell back to [Full], else 0 *)
   level : level;  (** rung at which verification passed *)
   edges_changed : int;  (** spanner edges added + removed by the repair *)
 }
@@ -139,7 +139,7 @@ val apply : ?dirty_radius:int -> t -> Delta.t -> outcome
 
     [?dirty_radius] overrides the spec's locality radius — a testing
     and experimentation hook: an under-estimate forces the verification
-    gate to fail and exercises the escalation ladder. *)
+    gate to fail and exercises the escalation to [Full]. *)
 
 val incremental_target : spec -> Graph.t -> (int * int) list
 (** A stateful maintainer for {!Rs_distributed.Periodic.simulate}'s

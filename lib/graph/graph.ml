@@ -137,9 +137,8 @@ let n g = g.n
 let m g = Array.length g.edges
 (* Once published the adjacency never changes; if two domains race on
    the first access both build a copy and CAS picks the winner — the
-   loser's copy is garbage, which is safe, just wasted work. Callers
-   that fan out work probing [neighbors] should [force_adj] first so
-   only the coordinating domain pays the O(n + m) build. *)
+   loser's copy is garbage, which is safe, just wasted work. The
+   parallel constructions read the CSR and never force it. *)
 let adjacency g =
   match Atomic.get g.adj with
   | Some a -> a
@@ -150,7 +149,6 @@ let adjacency g =
       if Atomic.compare_and_set g.adj None (Some a) then a
       else Option.get (Atomic.get g.adj)
 
-let force_adj g = ignore (adjacency g : int array array)
 let neighbors g u = (adjacency g).(u)
 let degree g u = g.off.(u + 1) - g.off.(u)
 

@@ -47,12 +47,6 @@ val neighbors : t -> int -> int array
     arrays are memoized on first access (domain-safely); hot loops
     should prefer {!iter_neighbors} or {!csr}, which never build them. *)
 
-val force_adj : t -> unit
-(** Build the memoized per-vertex arrays behind {!neighbors} now, on
-    the calling domain. Safe to call from any domain at any time, but
-    calling it once before fanning work out to multiple domains avoids
-    every worker redundantly paying the O(n + m) build on first access. *)
-
 val degree : t -> int -> int
 
 val max_degree : t -> int

@@ -190,10 +190,9 @@ let test_repair_all_specs () =
       | None -> ())
     all_specs
 
-(* The ladder: an under-estimated dirty radius misses roots whose
-   trees hold the removed edge; the gates catch it and the repair
-   widens (and, with a radius far too small for the spec, goes all the
-   way to a full rebuild) — ending equivalent regardless. *)
+(* Escalation: an under-estimated dirty radius misses roots whose
+   trees hold the removed edge; the gates catch it and the repair falls
+   back to a full rebuild — ending equivalent regardless. *)
 let test_escalation_ladder () =
   let g = Gen.path_graph 21 in
   let spec = Repair.Gdy { r = 5; beta = 1 } in
@@ -203,13 +202,13 @@ let test_escalation_ladder () =
   check "not local" true (o.Repair.level <> Repair.Local);
   check "still equivalent" true
     (Repair.pairs st = pairs_of_set (Repair.build spec (Repair.graph st)));
-  (* a mild under-estimate is healed by the 2-hop widening alone *)
+  (* a mild under-estimate goes straight to the full rebuild too *)
   let g = Gen.path_graph 21 in
   let spec = Repair.Gdy { r = 3; beta = 1 } in
   let st = Repair.init spec g in
   let o = Repair.apply ~dirty_radius:1 st [ Delta.Remove_edge (10, 11) ] in
-  check "widened suffices" true (o.Repair.level = Repair.Widened);
-  check "widened equivalent" true
+  check "mild under-estimate goes full" true (o.Repair.level = Repair.Full);
+  check "full equivalent" true
     (Repair.pairs st = pairs_of_set (Repair.build spec (Repair.graph st)))
 
 let test_incremental_target () =

@@ -233,6 +233,58 @@ let ref_gdy_k g ~k u =
   done;
   t
 
+(* Pre-emit-core DomTreeMIS_{2,1,k}: Hashtbl sphere sets, membership
+   and first hops read off a [Tree.t] (the Dom_tree_k.mis_k body before
+   it moved onto the CSR emit core, verbatim apart from the sphere). *)
+let ref_mis_k g ~k u =
+  let common_neighbors g u v =
+    Array.to_list (Graph.neighbors g v) |> List.filter (fun w -> Graph.mem_edge g u w)
+  in
+  let disjoint_branch_count = Dom_tree_k.disjoint_branch_count in
+  let t = Tree.create ~n:(Graph.n g) ~root:u in
+  let dist, _ = ref_bfs ~radius:2 g u in
+  let s = Hashtbl.create 64 in
+  Graph.iter_vertices (fun v -> if dist.(v) = 2 then Hashtbl.replace s v ()) g;
+  let dominated v =
+    common_neighbors g u v |> List.for_all (fun w -> Tree.mem t w)
+    || disjoint_branch_count g t ~beta:1 v >= k
+  in
+  let prune () =
+    Hashtbl.iter (fun v () -> if dominated v then Hashtbl.remove s v) (Hashtbl.copy s)
+  in
+  for _round = 1 to k do
+    let x_set = Hashtbl.copy s in
+    let continue = ref true in
+    while !continue && Hashtbl.length x_set > 0 && Hashtbl.length s > 0 do
+      (* pick the smallest-id x in S ∩ X *)
+      let x =
+        Hashtbl.fold
+          (fun v () acc -> if Hashtbl.mem s v && (acc < 0 || v < acc) then v else acc)
+          x_set (-1)
+      in
+      if x < 0 then continue := false
+      else begin
+        let fresh =
+          common_neighbors g u x |> List.filter (fun y -> not (Tree.mem t y))
+        in
+        assert (fresh <> []);
+        let chosen = List.filteri (fun i _ -> i < k) fresh in
+        (match chosen with
+        | y1 :: rest ->
+            Tree.add_edge t ~parent:u ~child:y1;
+            if not (Tree.mem t x) then Tree.add_edge t ~parent:y1 ~child:x;
+            List.iter (fun y -> Tree.add_edge t ~parent:u ~child:y) rest
+        | [] -> assert false);
+        prune ();
+        (* X := X \ B_G(x, 1) *)
+        Hashtbl.remove x_set x;
+        Array.iter (fun w -> Hashtbl.remove x_set w) (Graph.neighbors g x)
+      end
+    done
+  done;
+  assert (Hashtbl.length s = 0);
+  t
+
 let tree_equal t1 t2 =
   Tree.root t1 = Tree.root t2
   && List.sort compare (Tree.edges t1) = List.sort compare (Tree.edges t2)
@@ -415,6 +467,20 @@ let test_gdy_k_matches_reference () =
         [ 1; 2 ])
     (Lazy.force instances)
 
+let test_mis_k_matches_reference () =
+  let scratch = Bfs.Scratch.create () in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun k ->
+          Graph.iter_vertices
+            (fun u ->
+              check "mis_k tree" true
+                (tree_equal (Dom_tree_k.mis_k ~scratch g ~k u) (ref_mis_k g ~k u)))
+            g)
+        [ 1; 2; 3 ])
+    (Lazy.force instances)
+
 (* Shared scratch across roots must not leak state between trees: the
    whole spanner is identical to fresh-scratch-per-root. *)
 let test_scratch_reuse_identical_spanners () =
@@ -457,6 +523,7 @@ let () =
           Alcotest.test_case "gdy matches reference" `Quick test_gdy_matches_reference;
           Alcotest.test_case "mis matches reference" `Quick test_mis_matches_reference;
           Alcotest.test_case "gdy_k matches reference" `Quick test_gdy_k_matches_reference;
+          Alcotest.test_case "mis_k matches reference" `Quick test_mis_k_matches_reference;
           Alcotest.test_case "scratch reuse leaks nothing" `Quick
             test_scratch_reuse_identical_spanners;
         ] );

@@ -185,7 +185,7 @@ let snapshot () =
     [ "core/trees_built"; "bfs/runs"; "bfs/expansions" ]
 
 let prop_parallel_metrics_match =
-  QCheck.Test.make ~count:15 ~name:"parallel union_trees metrics sum to sequential"
+  QCheck.Test.make ~count:15 ~name:"sharded build metrics sum to sequential"
     QCheck.(pair (int_range 65 120) (int_range 0 1000))
     (fun (n, seed) ->
       let g = Gen.erdos_renyi (Rand.create seed) n 0.08 in
@@ -195,7 +195,7 @@ let prop_parallel_metrics_match =
       let h_seq = Rs_core.Remote_spanner.exact_distance g in
       let seq = snapshot () in
       Obs.reset ();
-      let h_par = Rs_core.Parallel.exact_distance ~domains:4 g in
+      let h_par = Rs_core.Sharded.build ~domains:4 g (Rs_core.Sharded.Gdy_k { k = 1 }) in
       let par = snapshot () in
       Edge_set.cardinal h_seq = Edge_set.cardinal h_par && seq = par)
 

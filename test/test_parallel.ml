@@ -22,41 +22,43 @@ let test_parallel_equals_sequential () =
       check (name ^ " identical small") true (Edge_set.equal (par small) (seq small)))
     [
       ( "exact",
-        (fun g -> Parallel.exact_distance ~domains:4 g),
+        (fun g -> Sharded.build ~domains:4 g (Sharded.Gdy_k { k = 1 })),
         Remote_spanner.exact_distance );
       ( "low-stretch",
-        (fun g -> Parallel.low_stretch ~domains:4 g ~eps:0.5),
+        (fun g -> Sharded.build ~domains:4 g (Sharded.Mis { r = Remote_spanner.r_of_eps 0.5 })),
         fun g -> Remote_spanner.low_stretch g ~eps:0.5 );
       ( "k-conn",
-        (fun g -> Parallel.k_connecting ~domains:4 g ~k:2),
+        (fun g -> Sharded.build ~domains:4 g (Sharded.Gdy_k { k = 2 })),
         fun g -> Remote_spanner.k_connecting g ~k:2 );
       ( "2-conn",
-        (fun g -> Parallel.two_connecting ~domains:4 g),
+        (fun g -> Sharded.build ~domains:4 g (Sharded.Mis_k { k = 2 })),
         Remote_spanner.two_connecting );
     ]
 
 let test_parallel_domain_counts () =
   (* result independent of the domain count *)
-  let reference = Parallel.exact_distance ~domains:1 big in
+  let exact domains g = Sharded.build ~domains g (Sharded.Gdy_k { k = 1 }) in
+  let reference = exact 1 big in
   List.iter
     (fun d ->
       check
         (Printf.sprintf "domains=%d" d)
         true
-        (Edge_set.equal reference (Parallel.exact_distance ~domains:d big)))
+        (Edge_set.equal reference (exact d big)))
     [ 2; 3; 5; 7; 16 ]
 
 let test_parallel_empty_and_tiny () =
   let g0 = Gen.empty 0 in
-  check_int "empty" 0 (Edge_set.cardinal (Parallel.exact_distance ~domains:4 g0));
+  let exact g = Sharded.build ~domains:4 g (Sharded.Gdy_k { k = 1 }) in
+  check_int "empty" 0 (Edge_set.cardinal (exact g0));
   let g1 = Gen.path_graph 3 in
   check "tiny equals seq" true
     (Edge_set.equal
-       (Parallel.exact_distance ~domains:4 g1)
+       (exact g1)
        (Remote_spanner.exact_distance g1))
 
 let test_default_domains_positive () =
-  check "positive" true (Parallel.default_domains () >= 1)
+  check "positive" true (Sharded.default_domains () >= 1)
 
 let test_parallel_verify_agrees () =
   (* positive and negative cases, across domain counts *)

@@ -250,6 +250,21 @@ let test_chaos () =
   check "the wedged writer failed over" true (Harness.count r "failovers" >= 1);
   rm_rf dir
 
+(* Seeds on which a delta drawn against g0 is quiescent on the live
+   graph around the wedge point: the wedge must not key on the seq. *)
+let test_wedge_quiescent_seeds () =
+  let dir = tmp_dir "chaos-wedge" in
+  List.iter
+    (fun (seed, n, batches) ->
+      let r = Chaos.run ~only:"wedged-writer-failover" ~seed ~n ~batches ~dir () in
+      List.iter
+        (fun f -> Printf.eprintf "chaos FAIL %s: %s\n%!" f.Harness.scenario f.Harness.reason)
+        r.Harness.failures;
+      check (Printf.sprintf "seed %d n %d passed" seed n) true (Harness.ok r);
+      check_int "one failover" 1 (Harness.count r "failovers"))
+    [ (3, 40, 10); (1, 20, 10) ];
+  rm_rf dir
+
 let () =
   Alcotest.run "serve"
     [ ( "service",
@@ -258,4 +273,6 @@ let () =
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "stale + breaker" `Quick test_stale_and_breaker;
           Alcotest.test_case "durable round trip" `Quick test_durable_roundtrip ] );
-      ("chaos", [ Alcotest.test_case "all scenarios" `Slow test_chaos ]) ]
+      ( "chaos",
+        [ Alcotest.test_case "all scenarios" `Slow test_chaos;
+          Alcotest.test_case "wedge on quiescent seeds" `Slow test_wedge_quiescent_seeds ] ) ]

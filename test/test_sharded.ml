@@ -27,7 +27,8 @@ let arb_graph ~max_n =
 let make_test ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
 
-(* the per-root sequential reference for each strategy *)
+(* the per-root sequential reference for each strategy: one Tree.t per
+   root, unioned root by root *)
 let reference g strat =
   let scratch = Bfs.Scratch.create () in
   let tree_of =
@@ -35,8 +36,13 @@ let reference g strat =
     | Sharded.Gdy { r; beta } -> fun u -> Dom_tree.gdy ~scratch g ~r ~beta u
     | Sharded.Mis { r } -> fun u -> Dom_tree.mis ~scratch g ~r u
     | Sharded.Gdy_k { k } -> fun u -> Dom_tree_k.gdy_k ~scratch g ~k u
+    | Sharded.Mis_k { k } -> fun u -> Dom_tree_k.mis_k ~scratch g ~k u
   in
-  Remote_spanner.union_trees g tree_of
+  let h = Edge_set.create g in
+  for u = 0 to Graph.n g - 1 do
+    Tree.add_to h (tree_of u)
+  done;
+  h
 
 let strategies =
   [
@@ -45,6 +51,8 @@ let strategies =
     ("mis r3", Sharded.Mis { r = 3 });
     ("gdy_k k1", Sharded.Gdy_k { k = 1 });
     ("gdy_k k2", Sharded.Gdy_k { k = 2 });
+    ("mis_k k2", Sharded.Mis_k { k = 2 });
+    ("mis_k k3", Sharded.Mis_k { k = 3 });
   ]
 
 let prop_matches_reference g =
@@ -56,23 +64,25 @@ let prop_matches_reference g =
 (* shard-merge determinism: same edge set for every domain count,
    batch width, root order and the local (halo sub-graph) mode *)
 let prop_deterministic g =
-  let strat = Sharded.Gdy_k { k = 1 } in
-  let expect = reference g strat in
   let n = Graph.n g in
   let reversed = Array.init n (fun i -> n - 1 - i) in
   List.for_all
-    (fun build -> Edge_set.equal expect (build ()))
-    [
-      (fun () -> Sharded.build ~domains:1 g strat);
-      (fun () -> Sharded.build ~domains:2 g strat);
-      (fun () -> Sharded.build ~domains:3 g strat);
-      (fun () -> Sharded.build ~domains:5 g strat);
-      (fun () -> Sharded.build ~domains:2 ~chunk:1 g strat);
-      (fun () -> Sharded.build ~domains:2 ~chunk:7 g strat);
-      (fun () -> Sharded.build ~domains:2 ~order:reversed g strat);
-      (fun () -> Sharded.build ~domains:2 ~local:true g strat);
-      (fun () -> Sharded.build ~domains:1 ~local:true ~chunk:5 g strat);
-    ]
+    (fun strat ->
+      let expect = reference g strat in
+      List.for_all
+        (fun build -> Edge_set.equal expect (build ()))
+        [
+          (fun () -> Sharded.build ~domains:1 g strat);
+          (fun () -> Sharded.build ~domains:2 g strat);
+          (fun () -> Sharded.build ~domains:3 g strat);
+          (fun () -> Sharded.build ~domains:5 g strat);
+          (fun () -> Sharded.build ~domains:2 ~chunk:1 g strat);
+          (fun () -> Sharded.build ~domains:2 ~chunk:7 g strat);
+          (fun () -> Sharded.build ~domains:2 ~order:reversed g strat);
+          (fun () -> Sharded.build ~domains:2 ~local:true g strat);
+          (fun () -> Sharded.build ~domains:1 ~local:true ~chunk:5 g strat);
+        ])
+    [ Sharded.Gdy_k { k = 1 }; Sharded.Mis_k { k = 2 }; Sharded.Mis_k { k = 3 } ]
 
 let prop_local_mode_all_strategies g =
   List.for_all
@@ -148,7 +158,8 @@ let test_bad_arguments () =
     (raises (fun () ->
          Sharded.build ~order:[| 0; 1; 2; 3; 4; 5; 6; 8 |] g (Sharded.Gdy_k { k = 1 })));
   check "bad r" true (raises (fun () -> Sharded.build g (Sharded.Gdy { r = 0; beta = 1 })));
-  check "bad k" true (raises (fun () -> Sharded.build g (Sharded.Gdy_k { k = 0 })))
+  check "bad k" true (raises (fun () -> Sharded.build g (Sharded.Gdy_k { k = 0 })));
+  check "bad mis_k k" true (raises (fun () -> Sharded.build g (Sharded.Mis_k { k = 0 })))
 
 let () =
   Alcotest.run "sharded"

@@ -142,6 +142,42 @@ let test_restore_equivalence () =
       check "spanner equal" true (Edge_set.equal (Repair.spanner st) (Repair.spanner st')))
     all_specs
 
+(* The persisted per-root trees are exactly the per-root constructions
+   (one Tree.t per root), listed shallow-first by (child depth, child):
+   snapshots stay byte-identical to the per-root implementation. *)
+let test_export_trees_reference () =
+  let module Dom_tree = Rs_core.Dom_tree in
+  let module Dom_tree_k = Rs_core.Dom_tree_k in
+  let reference spec g u =
+    let scratch = Bfs.Scratch.create () in
+    let tree =
+      match spec with
+      | Repair.Gdy { r; beta } -> Dom_tree.gdy ~scratch g ~r ~beta u
+      | Repair.Mis { r } -> Dom_tree.mis ~scratch g ~r u
+      | Repair.Gdy_k { k } -> Dom_tree_k.gdy_k ~scratch g ~k u
+      | Repair.Mis_k { k } -> Dom_tree_k.mis_k ~scratch g ~k u
+    in
+    Tree.edges tree
+    |> List.map (fun (p, c) -> (Tree.depth tree c, c, p))
+    |> List.sort compare
+    |> List.map (fun (_, c, p) -> (p, c))
+  in
+  let rand = Rand.create 23 in
+  let pts = Rs_geometry.Sampler.uniform rand ~n:150 ~dim:2 ~side:6.0 in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun spec ->
+          let trees = Repair.export_trees (Repair.init spec g) in
+          Array.iteri
+            (fun u edges ->
+              if edges <> reference spec g u then
+                Alcotest.failf "%a: tree %d differs from the per-root reference"
+                  Repair.pp_spec spec u)
+            trees)
+        (Repair.Gdy { r = 3; beta = 1 } :: Repair.Mis_k { k = 3 } :: all_specs))
+    [ Rs_geometry.Unit_ball.udg pts; Gen.random_connected (Rand.create 21) 80 0.06 ]
+
 (* ---------------------------------------------------------------- *)
 (* WAL *)
 
@@ -422,6 +458,8 @@ let () =
           Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "snapshot rejects damage" `Quick test_snapshot_rejects_damage;
           Alcotest.test_case "restore = init" `Quick test_restore_equivalence;
+          Alcotest.test_case "export_trees = per-root reference" `Quick
+            test_export_trees_reference;
         ] );
       ( "wal",
         [
