@@ -67,31 +67,30 @@ let write_all fd ~timeout_s s =
   in
   go 0
 
-(* Read exactly [len] bytes. [eof_ok] distinguishes a clean close at a
-   frame boundary from one mid-frame. *)
-let read_exact fd ~timeout_s ~eof_ok len =
+(* Read exactly [len] bytes. [boundary] says the read starts a frame:
+   only there is a clean close [Closed] and a passed deadline
+   [Timeout]. Past the first byte of a frame either one is [Corrupt] —
+   the stream is out of step, and a caller that retried after a
+   [Timeout] would read the rest of the frame as a header. *)
+let read_exact fd ~timeout_s ~boundary len =
   set_timeout fd Unix.SO_RCVTIMEO timeout_s;
   let b = Bytes.create len in
+  let mid_frame reason =
+    Obs.incr c_frame_errors;
+    Error (Corrupt reason)
+  in
   let rec go off =
     if off >= len then Ok (Bytes.unsafe_to_string b)
     else
       match Unix.read fd b off (len - off) with
-      | 0 ->
-          if off = 0 && eof_ok then Error Closed
-          else begin
-            Obs.incr c_frame_errors;
-            Error (Corrupt "peer closed mid-frame")
-          end
+      | 0 -> if off = 0 && boundary then Error Closed else mid_frame "peer closed mid-frame"
       | k -> go (off + k)
       | exception Unix.Unix_error (e, _, _) when is_timeout e ->
           Obs.incr c_read_timeouts;
-          Error Timeout
+          if off = 0 && boundary then Error Timeout
+          else mid_frame "deadline passed mid-frame"
       | exception Unix.Unix_error (e, _, _) when is_closed e ->
-          if off = 0 && eof_ok then Error Closed
-          else begin
-            Obs.incr c_frame_errors;
-            Error (Corrupt "peer reset mid-frame")
-          end
+          if off = 0 && boundary then Error Closed else mid_frame "peer reset mid-frame"
       | exception Unix.Unix_error (e, _, _) ->
           Error (Corrupt (Unix.error_message e))
   in
@@ -115,7 +114,7 @@ let send fd ~timeout_s payload =
   end
 
 let recv fd ~timeout_s =
-  match read_exact fd ~timeout_s ~eof_ok:true header_len with
+  match read_exact fd ~timeout_s ~boundary:true header_len with
   | Error _ as e -> e
   | Ok hdr -> (
       let len = Int32.to_int (String.get_int32_le hdr 0) land 0xFFFFFFFF in
@@ -126,7 +125,7 @@ let recv fd ~timeout_s =
           (Corrupt (Printf.sprintf "frame announces %d bytes (cap %d)" len max_payload))
       end
       else
-        match read_exact fd ~timeout_s ~eof_ok:false len with
+        match read_exact fd ~timeout_s ~boundary:false len with
         | Error _ as e -> e
         | Ok payload ->
             if Crc32.of_string payload <> crc then begin

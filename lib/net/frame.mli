@@ -17,11 +17,13 @@
 
     All reads and writes run against {e deadlines}: {!recv} and
     {!send} take an absolute number of seconds of patience and return
-    [Error Timeout] instead of blocking a domain forever on a dead or
+    [Error Timeout] instead of blocking a thread forever on a dead or
     glacial peer (implemented with [SO_RCVTIMEO]/[SO_SNDTIMEO], set
-    per call). A peer that closes mid-frame yields [Error Closed];
-    anything structurally wrong yields [Error (Corrupt reason)]. None
-    of the entry points raise on I/O failure.
+    per call). A peer that closes between frames yields
+    [Error Closed]; anything structurally wrong — including a close or
+    a passed deadline after part of a frame was read — yields
+    [Error (Corrupt reason)]. None of the entry points raise on I/O
+    failure.
 
     Linking this module ignores [SIGPIPE] process-wide: a write to a
     socket the peer already severed must come back as [Error Closed],
@@ -29,7 +31,9 @@
     [EPIPE] could be observed. *)
 
 type error =
-  | Timeout  (** the deadline passed before a full frame moved *)
+  | Timeout
+      (** the deadline passed before a full frame was written, or
+          before the first byte of one was read *)
   | Closed  (** the peer closed (EOF or reset) *)
   | Corrupt of string  (** bad length, checksum mismatch *)
 
@@ -44,5 +48,7 @@ val send : Unix.file_descr -> timeout_s:float -> string -> (unit, error) result
 
 val recv : Unix.file_descr -> timeout_s:float -> (string, error) result
 (** Read one frame, verify its checksum, return the payload. A clean
-    EOF {e between} frames is [Error Closed]; an EOF {e inside} one is
-    [Error (Corrupt _)]. Records [net/frames_in] and [net/bytes_in]. *)
+    EOF {e between} frames is [Error Closed] and a deadline that passes
+    there is [Error Timeout]; an EOF or a deadline {e inside} one is
+    [Error (Corrupt _)], since the stream is no longer at a frame
+    boundary. Records [net/frames_in] and [net/bytes_in]. *)

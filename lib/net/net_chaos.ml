@@ -182,13 +182,15 @@ let torn_snapshot_ship ~rand ~specs ~n ~batches ~dir =
   let total = (Unix.stat snap_path).Unix.st_size in
   let part = Filename.concat rdir (Filename.basename snap_path ^ ".part") in
   (* cut the wire mid-ship; the partial must survive at a real offset *)
+  let shipped = ref (Error "not run") in
   let shipper =
-    Domain.spawn (fun () -> Repl.ship ~timeout_s:2.0 ~host ~port ~dir:rdir ())
+    Thread.create (fun () -> shipped := Repl.ship ~timeout_s:2.0 ~host ~port ~dir:rdir ()) ()
   in
   wait_until ~what:"ship progress before the cut" (fun () ->
       Sys.file_exists part && (Unix.stat part).Unix.st_size > 0);
   ignore (Repl.leader_drop_connections ld);
-  (match Domain.join shipper with
+  Thread.join shipper;
+  (match !shipped with
   | Ok _ -> failwith "the severed ship reported success"
   | Error _ -> ());
   if not (Sys.file_exists part) then failwith "the interrupted ship left no partial";

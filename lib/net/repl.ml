@@ -292,9 +292,9 @@ let ship_session ld dir fd hello =
                   in
                   chunks start)))
 
-(* One WAL subscription: a tailer domain feeds a bounded send queue, a
-   sender domain drains it to the socket, and the connection's own
-   domain sits in recv to notice the peer going away. The bounded
+(* One WAL subscription: a tailer thread feeds a bounded send queue, a
+   sender thread drains it to the socket, and the connection's own
+   thread sits in recv to notice the peer going away. The bounded
    queue is the overload contract: a replica that cannot drain frames
    as fast as the writer produces them is disconnected with an
    explicit reason — the leader's memory per follower is
@@ -342,7 +342,7 @@ let stream_session ld dir fd hello =
               let stop_conn = Atomic.make false in
               let stopping () = Atomic.get stop_conn || Atomic.get ld.l_stop in
               let tailer =
-                Domain.spawn (fun () ->
+                Thread.create (fun () ->
                     let t = tail_create dir (have_seq + 1) in
                     let last_beat = ref (Unix.gettimeofday ()) in
                     (* A full queue is not yet overload: a replica
@@ -403,10 +403,10 @@ let stream_session ld dir fd hello =
                         end
                       end
                     in
-                    loop ())
+                    loop ()) ()
               in
               let sender =
-                Domain.spawn (fun () ->
+                Thread.create (fun () ->
                     let rec loop () =
                       if Atomic.get overflow then begin
                         (* don't drain the backlog into a replica that
@@ -442,7 +442,7 @@ let stream_session ld dir fd hello =
                         if send_all batch then loop () else if Atomic.get overflow then loop ()
                       end
                     in
-                    loop ())
+                    loop ()) ()
               in
               (* the subscriber never speaks after the handshake; recv is
                  purely how we learn the connection died *)
@@ -457,8 +457,8 @@ let stream_session ld dir fd hello =
               watch ();
               Atomic.set stop_conn true;
               Bqueue.close q;
-              Domain.join tailer;
-              Domain.join sender;
+              Thread.join tailer;
+              Thread.join sender;
               let nf = Atomic.fetch_and_add ld.l_followers (-1) - 1 in
               Obs.set_gauge g_followers (float_of_int nf)
       end
@@ -544,8 +544,7 @@ let find_part dir =
       in
       Some (path, size, seq)
 
-let ship ?(chunk_hint = 0) ?(timeout_s = 10.0) ~host ~port ~dir () =
-  ignore chunk_hint;
+let ship ?(timeout_s = 10.0) ~host ~port ~dir () =
   Rs_store.Harness.mkdir_p dir;
   let offset, snap_seq_req =
     match find_part dir with Some (_, size, seq) -> (size, seq) | None -> (0, 0)
@@ -665,7 +664,6 @@ let request fd ~timeout_s line =
 
 type replica_config = {
   r_frame_timeout_s : float;
-  apply_capacity : int;
   reconnect_base_s : float;
   reconnect_max_s : float;
   max_retries : int;
@@ -677,7 +675,6 @@ type replica_config = {
 let default_replica_config () =
   {
     r_frame_timeout_s = 5.0;
-    apply_capacity = 256;
     reconnect_base_s = 0.05;
     reconnect_max_s = 2.0;
     max_retries = 10;
@@ -702,11 +699,7 @@ type replica = {
   r_err_m : Mutex.t;
   mutable r_err : string option;
   mutable r_fd : Unix.file_descr option;  (* under r_err_m *)
-  r_apply_q : (int * Rs_dynamic.Delta.t) Bqueue.t;
-  r_inflight : int Atomic.t;  (* popped from the queue, not yet offered *)
-  mutable r_net_dom : unit Domain.t option;
-  mutable r_apply_dom : unit Domain.t option;
-  mutable r_health_dom : unit Domain.t option;
+  mutable r_threads : Thread.t list;  (* under r_err_m; taken by [detach] *)
 }
 
 let set_err r m =
@@ -744,64 +737,89 @@ let note_lag r =
   Obs.set_gauge g_lag (float_of_int (lag r));
   Obs.set_gauge g_connected (if connected r then 1. else 0.)
 
-(* The applier: drains the bounded queue into [Service.offer],
-   retrying on a momentarily full ingest queue — backpressure flows
-   back through [push_wait] to the receiver, and from there through
-   TCP to the leader's bounded send buffer. *)
-let applier r () =
-  let rec offer_one (seq, delta) =
-    let d = Atomic.get r.r_cfg.apply_delay_s in
-    if d > 0. then Unix.sleepf d;
-    match Service.offer r.r_service delta with
-    | Ok () ->
-        Obs.incr c_applied;
-        ignore seq
-    | Error _ when Atomic.get r.r_stop -> ()
-    | Error reason ->
-        if
-          (* a full service queue is transient backpressure; anything
-             else (suspended ingest, shutdown) ends the stream *)
-          String.length reason >= 10 && String.sub reason 0 10 = "queue full"
-        then begin
-          Unix.sleepf 0.005;
-          offer_one (seq, delta)
-        end
-        else begin
-          set_err r ("replica apply rejected: " ^ reason);
-          Atomic.set r.r_stop true
-        end
+(* Offer one streamed delta, retrying a momentarily full ingest queue:
+   the service's bounded queue is the replica's only buffer, so
+   backpressure flows from it through TCP to the leader's send buffer.
+   Any other rejection (suspended ingest, shutdown) ends following. *)
+let rec apply r delta =
+  match Service.offer r.r_service delta with
+  | Ok () ->
+      Obs.incr c_applied;
+      Ok ()
+  | Error _ when Atomic.get r.r_stop -> Ok () (* detaching: the stream stops next *)
+  | Error reason when String.starts_with ~prefix:"queue full" reason ->
+      Unix.sleepf 0.005;
+      apply r delta
+  | Error reason ->
+      Atomic.set r.r_stop true;
+      Error ("replica apply rejected: " ^ reason)
+
+(* Read the stream until it ends; [Ok ()] only when detaching. *)
+let stream r fd session_epoch have =
+  let next = ref (have + 1) in
+  let reject m =
+    Obs.incr c_stream_rejects;
+    Error m
   in
   let rec loop () =
-    let batch = Bqueue.pop_batch r.r_apply_q ~max:16 ~timeout_s:0.05 in
-    Atomic.set r.r_inflight (List.length batch);
-    List.iter offer_one batch;
-    Atomic.set r.r_inflight 0;
-    if
-      batch = [] && Bqueue.is_closed r.r_apply_q
-      && Bqueue.length r.r_apply_q = 0
-    then ()
-    else loop ()
+    if Atomic.get r.r_stop then Ok ()
+    else
+      match Frame.recv fd ~timeout_s:r.r_cfg.r_frame_timeout_s with
+      | Error Frame.Timeout ->
+          (* heartbeats come every heartbeat_s << the frame deadline:
+             silence this long means the link is dead *)
+          Error "stream silent past the deadline"
+      | Error Frame.Closed -> Error "leader closed the stream"
+      | Error (Frame.Corrupt m) -> Error ("stream corrupt: " ^ m)
+      | Ok p when String.length p >= 5 && p.[0] = 'R' -> (
+          let epoch = Binio.r_u32 (Binio.reader ~pos:1 ~limit:5 p) in
+          if epoch <> session_epoch then
+            reject
+              (Printf.sprintf "epoch fence: frame epoch %d, session epoch %d" epoch
+                 session_epoch)
+          else
+            match Wal.decode_record p ~pos:5 with
+            | `Bad m -> reject ("bad streamed record: " ^ m)
+            | `Need_more -> reject "truncated streamed record"
+            | `Record (seq, _, _) when seq <> !next ->
+                reject (Printf.sprintf "sequence gap: streamed %d, expected %d" seq !next)
+            | `Record (seq, delta, _) -> (
+                let d = Atomic.get r.r_cfg.apply_delay_s in
+                if d > 0. then Unix.sleepf d;
+                match apply r delta with
+                | Error _ as e -> e
+                | Ok () ->
+                    next := seq + 1;
+                    if seq > Atomic.get r.r_leader_seq then Atomic.set r.r_leader_seq seq;
+                    note_lag r;
+                    loop ()))
+      | Ok p when String.length p >= 13 && p.[0] = 'H' -> (
+          match
+            let rd = Binio.reader ~pos:1 p in
+            let epoch = Binio.r_u32 rd in
+            let seq = Binio.r_u64 rd in
+            (epoch, seq)
+          with
+          | exception Binio.Corrupt m -> Error ("bad heartbeat: " ^ m)
+          | epoch, _ when epoch <> session_epoch ->
+              reject
+                (Printf.sprintf "epoch fence: heartbeat epoch %d, session epoch %d" epoch
+                   session_epoch)
+          | _, seq ->
+              if seq > Atomic.get r.r_leader_seq then Atomic.set r.r_leader_seq seq;
+              note_lag r;
+              loop ())
+      | Ok p when String.length p >= 1 && p.[0] = 'E' ->
+          Error ("disconnected by leader: " ^ String.sub p 1 (String.length p - 1))
+      | Ok _ -> Error "unexpected frame on the stream"
   in
   loop ()
 
-(* Quiescence that covers the whole replica pipeline: nothing queued,
-   nothing between pop and offer, and the service's writer has caught
-   its log — only then does [ingested_seq] name the exact resume
-   point. *)
-let replica_idle r =
-  Bqueue.length r.r_apply_q = 0
-  && Atomic.get r.r_inflight = 0
-  && Service.idle r.r_service
-
-let wait_idle r =
-  while (not (replica_idle r)) && not (Atomic.get r.r_stop) do
-    Unix.sleepf 0.005
-  done
-
-(* The follower loop: connect, handshake from the durable sequence
-   number, stream, and on any disconnect reconnect with capped
-   exponential backoff plus jitter — resuming from wherever the
-   applier durably got to, so nothing is skipped or re-applied. *)
+(* The follower: connect, handshake from the durable sequence number,
+   stream, and on any disconnect reconnect with capped exponential
+   backoff plus jitter. The same thread offers every record and
+   reconnects, so once the service is idle its [ingested_seq] is the
+   exact resume point: nothing is skipped or re-applied. *)
 let follower r () =
   let rand = Rand.create r.r_cfg.seed in
   let attempts = ref 0 in
@@ -822,163 +840,66 @@ let follower r () =
       false
     end
   in
-  let stream fd session_epoch have =
-    let next = ref (have + 1) in
-    let rec loop () =
-      if Atomic.get r.r_stop then ()
-      else
-        match Frame.recv fd ~timeout_s:r.r_cfg.r_frame_timeout_s with
-        | Error Frame.Timeout ->
-            (* heartbeats come every heartbeat_s << the frame deadline:
-               silence this long means the link is dead *)
-            set_err r "stream silent past the deadline"
-        | Error Frame.Closed -> set_err r "leader closed the stream"
-        | Error (Frame.Corrupt m) -> set_err r ("stream corrupt: " ^ m)
-        | Ok p when String.length p >= 5 && p.[0] = 'R' -> (
-            let epoch =
-              let rd = Binio.reader ~pos:1 ~limit:5 p in
-              Binio.r_u32 rd
-            in
-            if epoch <> session_epoch then begin
-              Obs.incr c_stream_rejects;
-              set_err r
-                (Printf.sprintf "epoch fence: frame epoch %d, session epoch %d" epoch
-                   session_epoch)
-            end
-            else
-              match Wal.decode_record p ~pos:5 with
-              | `Bad m ->
-                  Obs.incr c_stream_rejects;
-                  set_err r ("bad streamed record: " ^ m)
-              | `Need_more ->
-                  Obs.incr c_stream_rejects;
-                  set_err r "truncated streamed record"
-              | `Record (seq, delta, _) ->
-                  if seq <> !next then begin
-                    Obs.incr c_stream_rejects;
-                    set_err r
-                      (Printf.sprintf "sequence gap: streamed %d, expected %d" seq
-                         !next)
-                  end
-                  else (
-                    match Bqueue.push_wait r.r_apply_q (seq, delta) with
-                    | Ok () ->
-                        next := seq + 1;
-                        if seq > Atomic.get r.r_leader_seq then
-                          Atomic.set r.r_leader_seq seq;
-                        note_lag r;
-                        loop ()
-                    | Error _ -> () (* shutting down *)))
-        | Ok p when String.length p >= 13 && p.[0] = 'H' -> (
-            match
-              let rd = Binio.reader ~pos:1 p in
-              let epoch = Binio.r_u32 rd in
-              let seq = Binio.r_u64 rd in
-              (epoch, seq)
-            with
-            | exception Binio.Corrupt m -> set_err r ("bad heartbeat: " ^ m)
-            | epoch, seq ->
-                if epoch <> session_epoch then begin
-                  Obs.incr c_stream_rejects;
-                  set_err r
-                    (Printf.sprintf "epoch fence: heartbeat epoch %d, session epoch %d"
-                       epoch session_epoch)
-                end
-                else begin
-                  if seq > Atomic.get r.r_leader_seq then Atomic.set r.r_leader_seq seq;
-                  note_lag r;
-                  loop ()
-                end)
-        | Ok p when String.length p >= 1 && p.[0] = 'E' ->
-            set_err r
-              ("disconnected by leader: " ^ String.sub p 1 (String.length p - 1))
-        | Ok _ -> set_err r "unexpected frame on the stream"
-    in
-    loop ()
+  let ( let* ) = Result.bind in
+  let frame_err what res = Result.map_error (fun e -> what ^ Frame.error_to_string e) res in
+  let session fd =
+    while (not (Service.idle r.r_service)) && not (Atomic.get r.r_stop) do
+      Unix.sleepf 0.005
+    done;
+    let have = Service.ingested_seq r.r_service in
+    let hello = msg_join ~epoch:(Atomic.get r.r_epoch) ~have_seq:have in
+    let* () = frame_err "join: " (Frame.send fd ~timeout_s:r.r_cfg.r_frame_timeout_s hello) in
+    let* p = frame_err "join reply: " (Frame.recv fd ~timeout_s:r.r_cfg.r_frame_timeout_s) in
+    if String.length p >= 13 && p.[0] = 'K' then
+      match
+        let rd = Binio.reader ~pos:1 p in
+        let epoch = Binio.r_u32 rd in
+        let seq = Binio.r_u64 rd in
+        (epoch, seq)
+      with
+      | exception Binio.Corrupt m -> Error ("bad join reply: " ^ m)
+      | epoch, _ when epoch < Atomic.get r.r_epoch ->
+          Obs.incr c_stream_rejects;
+          Error
+            (Printf.sprintf "rejected deposed leader: stream epoch %d < replica epoch %d"
+               epoch (Atomic.get r.r_epoch))
+      | epoch, leader_seq ->
+          if epoch > Atomic.get r.r_epoch then begin
+            Atomic.set r.r_epoch epoch;
+            write_epoch ~dir:r.r_dir epoch
+          end;
+          if leader_seq > Atomic.get r.r_leader_seq then
+            Atomic.set r.r_leader_seq leader_seq;
+          attempts := 0;
+          if Atomic.get r.r_ever_connected then begin
+            Atomic.incr r.r_reconnects;
+            Obs.incr c_reconnects
+          end;
+          Atomic.set r.r_ever_connected true;
+          Atomic.set r.r_connected true;
+          note_lag r;
+          let ended = stream r fd epoch have in
+          Atomic.set r.r_connected false;
+          note_lag r;
+          ended
+    else if String.length p >= 1 && p.[0] = 'E' then
+      Error ("leader refused join: " ^ String.sub p 1 (String.length p - 1))
+    else Error "unexpected join reply"
   in
-  let rec outer () =
-    if Atomic.get r.r_stop then ()
-    else
-      match Tcp.connect ~host:r.r_host ~port:r.r_port ~timeout_s:2.0 with
-      | Error e ->
-          set_err r e;
-          if backoff () then () else outer ()
-      | Ok fd -> (
+  let rec loop () =
+    if not (Atomic.get r.r_stop) then begin
+      (match Tcp.connect ~host:r.r_host ~port:r.r_port ~timeout_s:2.0 with
+      | Error e -> set_err r e
+      | Ok fd ->
           set_fd r (Some fd);
-          (* quiesce first: once idle, ingested = applied = durable, so
-             have_seq is exact — no gap, no double-apply on resume *)
-          wait_idle r;
-          let have = Service.ingested_seq r.r_service in
-          let hello = msg_join ~epoch:(Atomic.get r.r_epoch) ~have_seq:have in
-          let cleanup () =
-            set_fd r None;
-            close_quiet fd
-          in
-          match Frame.send fd ~timeout_s:r.r_cfg.r_frame_timeout_s hello with
-          | Error e ->
-              cleanup ();
-              set_err r ("join: " ^ Frame.error_to_string e);
-              if backoff () then () else outer ()
-          | Ok () -> (
-              match Frame.recv fd ~timeout_s:r.r_cfg.r_frame_timeout_s with
-              | Error e ->
-                  cleanup ();
-                  set_err r ("join reply: " ^ Frame.error_to_string e);
-                  if backoff () then () else outer ()
-              | Ok p when String.length p >= 13 && p.[0] = 'K' -> (
-                  match
-                    let rd = Binio.reader ~pos:1 p in
-                    let epoch = Binio.r_u32 rd in
-                    let seq = Binio.r_u64 rd in
-                    (epoch, seq)
-                  with
-                  | exception Binio.Corrupt m ->
-                      cleanup ();
-                      set_err r ("bad join reply: " ^ m);
-                      if backoff () then () else outer ()
-                  | epoch, leader_seq ->
-                      if epoch < Atomic.get r.r_epoch then begin
-                        Obs.incr c_stream_rejects;
-                        cleanup ();
-                        set_err r
-                          (Printf.sprintf
-                             "rejected deposed leader: stream epoch %d < replica \
-                              epoch %d"
-                             epoch (Atomic.get r.r_epoch));
-                        if backoff () then () else outer ()
-                      end
-                      else begin
-                        if epoch > Atomic.get r.r_epoch then begin
-                          Atomic.set r.r_epoch epoch;
-                          write_epoch ~dir:r.r_dir epoch
-                        end;
-                        if leader_seq > Atomic.get r.r_leader_seq then
-                          Atomic.set r.r_leader_seq leader_seq;
-                        attempts := 0;
-                        if Atomic.get r.r_ever_connected then begin
-                          Atomic.incr r.r_reconnects;
-                          Obs.incr c_reconnects
-                        end;
-                        Atomic.set r.r_ever_connected true;
-                        Atomic.set r.r_connected true;
-                        note_lag r;
-                        stream fd epoch have;
-                        Atomic.set r.r_connected false;
-                        note_lag r;
-                        cleanup ();
-                        if backoff () then () else outer ()
-                      end)
-              | Ok p when String.length p >= 1 && p.[0] = 'E' ->
-                  cleanup ();
-                  set_err r
-                    ("leader refused join: " ^ String.sub p 1 (String.length p - 1));
-                  if backoff () then () else outer ()
-              | Ok _ ->
-                  cleanup ();
-                  set_err r "unexpected join reply";
-                  if backoff () then () else outer ()))
+          let ended = session fd in
+          set_fd r None;
+          close_quiet fd;
+          Result.iter_error (set_err r) ended);
+      if not (backoff ()) then loop ()
+    end
   in
-  outer ();
+  loop ();
   Atomic.set r.r_connected false;
   note_lag r
 
@@ -1051,42 +972,34 @@ let follow ?config ?health_file ~service_config ~dir ~host ~port () =
               r_err_m = Mutex.create ();
               r_err = None;
               r_fd = None;
-              r_apply_q = Bqueue.create ~capacity:cfg.apply_capacity;
-              r_inflight = Atomic.make 0;
-              r_net_dom = None;
-              r_apply_dom = None;
-              r_health_dom = None;
+              r_threads = [];
             }
           in
-          r.r_apply_dom <- Some (Domain.spawn (applier r));
-          r.r_net_dom <- Some (Domain.spawn (follower r));
-          (match health_file with
-          | Some path ->
-              r.r_health_dom <-
-                Some
-                  (Domain.spawn
-                     (health_writer r ~path ~every_s:svc_cfg.Service.health_every_s))
-          | None -> ());
+          let health =
+            Option.map
+              (fun path ->
+                Thread.create
+                  (health_writer r ~path ~every_s:svc_cfg.Service.health_every_s) ())
+              health_file
+          in
+          r.r_threads <- Thread.create (follower r) () :: Option.to_list health;
           Ok r)
 
+(* Idempotent, and joins even when the follower already stopped itself
+   (a rejected apply sets [r_stop]): the thread list is taken once. *)
 let detach r =
-  if not (Atomic.exchange r.r_stop true) then begin
-    (* wake a blocked recv *)
-    Mutex.lock r.r_err_m;
-    (match r.r_fd with Some fd -> shutdown_quiet fd | None -> ());
-    Mutex.unlock r.r_err_m;
-    Bqueue.close r.r_apply_q;
-    (match r.r_net_dom with Some d -> Domain.join d | None -> ());
-    (match r.r_apply_dom with Some d -> Domain.join d | None -> ());
-    (match r.r_health_dom with Some d -> Domain.join d | None -> ());
-    r.r_net_dom <- None;
-    r.r_apply_dom <- None;
-    r.r_health_dom <- None
-  end
+  Atomic.set r.r_stop true;
+  Mutex.lock r.r_err_m;
+  (* wake a blocked recv *)
+  Option.iter shutdown_quiet r.r_fd;
+  let threads = r.r_threads in
+  r.r_threads <- [];
+  Mutex.unlock r.r_err_m;
+  List.iter Thread.join threads
 
 let promote r =
   detach r;
-  (* everything the applier accepted must be folded in before the
+  (* everything the follower offered must be folded in before the
      epoch changes hands *)
   let deadline = Unix.gettimeofday () +. 30.0 in
   while (not (Service.idle r.r_service)) && Unix.gettimeofday () < deadline do

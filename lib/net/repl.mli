@@ -30,14 +30,25 @@
     - each follower is fed through a {e bounded} send buffer — a
       replica that cannot keep up is disconnected with an explicit
       ['E'] reason, the leader never buffers without bound;
+    - a replica buffers nothing of its own: its follower offers each
+      record to the service itself, so a full ingest queue stalls the
+      socket read and TCP carries the backpressure to the leader;
     - a disconnected replica reconnects with capped exponential
       backoff plus seeded jitter and resumes from its own durable
-      sequence number — the handshake's [have_seq] is read after the
-      service is idle, so records are neither skipped nor re-applied;
+      sequence number — the thread that offered every record also
+      reconnects, and reads [have_seq] once the service is idle, so
+      records are neither skipped nor re-applied;
     - leader identity is {e epoch-fenced}: the epoch lives in a file
       in the store directory, every streamed frame carries it, and a
       replica promoted to epoch [e] refuses any stream with epoch
-      [< e] — a deposed leader cannot un-promote it. *)
+      [< e] — a deposed leader cannot un-promote it.
+
+    Everything here waits on I/O, so it runs on systhreads in the
+    caller's domain: each connection (query, ship or subscription),
+    each follower's WAL tailer and sender, the replica's follower and
+    its health writer. The service's writer and readers are the only
+    domains, so a process's domain count does not grow with its
+    connections or followers. *)
 
 (** {1 Epoch fencing} *)
 
@@ -114,13 +125,14 @@ val stop_leader : leader -> unit
 
 type replica_config = {
   r_frame_timeout_s : float;
-  apply_capacity : int;  (** bounded queue between receiver and applier *)
   reconnect_base_s : float;
   reconnect_max_s : float;  (** backoff cap *)
   max_retries : int;  (** consecutive failed connects before giving up *)
   seed : int;  (** backoff jitter *)
   fsync : Rs_store.Wal.policy;  (** the replica's own WAL durability *)
-  apply_delay_s : float Atomic.t;  (** chaos knob: slow consumer *)
+  apply_delay_s : float Atomic.t;
+      (** chaos knob: sleep before offering each streamed record (a
+          slow consumer) *)
 }
 
 val default_replica_config : unit -> replica_config
@@ -141,9 +153,11 @@ val follow :
     a [dir] that already holds a store is recovered and resumed from
     its own sequence number. The service is started with
     [batch_max = 1] (forced), so the replica's sequence numbers match
-    the leader's one to one. [?health_file] publishes
-    [Service.health ^ {!status_suffix}] atomically every
-    [health_every_s]. *)
+    the leader's one to one. One follower thread receives the stream
+    and offers each record to the service, retrying a full ingest
+    queue every 5 ms and ending the stream on any other rejection.
+    [?health_file] publishes [Service.health ^ {!status_suffix}]
+    atomically every [health_every_s] from a second thread. *)
 
 val replica_service : replica -> Rs_serve.Service.t
 (** Query it directly; writes should go through the leader. *)
@@ -171,8 +185,8 @@ val status_suffix : replica -> string
     appended to health lines and [status] replies. *)
 
 val detach : replica -> unit
-(** Stop following (domains joined, socket closed); the service keeps
-    serving what it has. Idempotent. *)
+(** Stop following (follower and health threads joined, socket
+    closed); the service keeps serving what it has. Idempotent. *)
 
 val promote : replica -> int
 (** {!detach}, wait until the service is idle, bump and persist the
@@ -188,7 +202,6 @@ val kill_replica : replica -> unit
 (** {1 Clients} *)
 
 val ship :
-  ?chunk_hint:int ->
   ?timeout_s:float ->
   host:string ->
   port:int ->

@@ -28,7 +28,7 @@ let resolve host port =
     | { ai_addr; _ } :: _ -> Ok ai_addr
     | [] | (exception _) -> Error (Printf.sprintf "cannot resolve host %s" host))
 
-type conn = { fd : Unix.file_descr; dom : unit Domain.t }
+type conn = { fd : Unix.file_descr; th : Thread.t }
 
 type server = {
   listener : Unix.file_descr;
@@ -37,7 +37,7 @@ type server = {
   stopping : bool Atomic.t;
   mu : Mutex.t;
   mutable conns : conn list;
-  mutable accept_dom : unit Domain.t option;
+  mutable accept_th : Thread.t option;
 }
 
 let listen ~host ~port =
@@ -62,7 +62,7 @@ let listen ~host ~port =
               stopping = Atomic.make false;
               mu = Mutex.create ();
               conns = [];
-              accept_dom = None;
+              accept_th = None;
             }
       | exception Unix.Unix_error (e, _, _) ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -90,10 +90,14 @@ let drop_connections t =
   List.iter (fun c -> shutdown_quiet c.fd) dropped;
   List.length dropped
 
-(* Handler domains unregister themselves so [conns] stays the live
+let open_reserve () =
+  try Some (Unix.openfile "/dev/null" [ O_RDONLY; O_CLOEXEC ] 0)
+  with Unix.Unix_error _ -> None
+
+(* Handler threads unregister themselves so [conns] stays the live
    set; [stop] joins whatever remains after severing the sockets. *)
 let serve t handler =
-  let run_conn c () =
+  let run_conn c =
     Fun.protect
       ~finally:(fun () ->
         close_quiet c;
@@ -103,46 +107,82 @@ let serve t handler =
         Mutex.unlock t.mu)
       (fun () -> try handler c with _ when Atomic.get t.stopping -> ())
   in
+  let refuse fd =
+    Obs.incr c_refused;
+    close_quiet fd
+  in
+  let admit fd =
+    if Atomic.get t.stopping then close_quiet fd
+    else if Atomic.get t.refuse then refuse fd
+    else begin
+      conn_delta 1;
+      (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
+      (* registered under the lock so the handler's unregistering
+         [finally] cannot run first; a thread that cannot be created
+         (a pids limit) must not leave the lock held *)
+      Mutex.lock t.mu;
+      match Thread.create run_conn fd with
+      | th ->
+          t.conns <- { fd; th } :: t.conns;
+          Mutex.unlock t.mu;
+          Obs.incr c_accepts
+      | exception Sys_error _ ->
+          Mutex.unlock t.mu;
+          conn_delta (-1);
+          refuse fd
+    end
+  in
+  (* At a full fd table [accept] fails at once and leaves the
+     connection pending, so retrying it would spin. Instead wait for
+     the next connection in the slot of a descriptor held in reserve;
+     if the reserve cannot be retaken the table is still full, so
+     refuse that connection, else admit it. With no reserve to free,
+     back off. *)
+  let reserve = ref (open_reserve ()) in
+  let shed () =
+    match !reserve with
+    | None ->
+        Unix.sleepf 0.01;
+        reserve := open_reserve ();
+        None
+    | Some r -> (
+        close_quiet r;
+        let got =
+          match Unix.accept t.listener with
+          | fd, _ -> Some fd
+          | exception Unix.Unix_error _ -> None
+        in
+        reserve := open_reserve ();
+        match (got, !reserve) with
+        | Some fd, None ->
+            refuse fd;
+            reserve := open_reserve ();
+            None
+        | got, _ -> got)
+  in
   let rec accept_loop () =
     match Unix.accept t.listener with
     | fd, _ ->
-        if Atomic.get t.stopping then close_quiet fd
-        else if Atomic.get t.refuse then begin
-          Obs.incr c_refused;
-          close_quiet fd
-        end
-        else begin
-          conn_delta 1;
-          (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
-          (* registered under the lock so the handler's unregistering
-             [finally] cannot run first; at the domain limit the spawn
-             fails: release the lock, refuse this connection and keep
-             accepting *)
-          Mutex.lock t.mu;
-          match Domain.spawn (run_conn fd) with
-          | dom ->
-              t.conns <- { fd; dom } :: t.conns;
-              Mutex.unlock t.mu;
-              Obs.incr c_accepts
-          | exception Failure _ ->
-              Mutex.unlock t.mu;
-              Obs.incr c_refused;
-              conn_delta (-1);
-              close_quiet fd
-        end;
+        admit fd;
         accept_loop ()
     | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> ()
     | exception Unix.Unix_error (EINTR, _, _) -> accept_loop ()
-    | exception Unix.Unix_error (_, _, _) ->
-        if not (Atomic.get t.stopping) then accept_loop ()
+    | exception Unix.Unix_error (_, _, _) when Atomic.get t.stopping -> ()
+    | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
+        Option.iter admit (shed ());
+        accept_loop ()
+    | exception Unix.Unix_error (_, _, _) -> accept_loop ()
   in
-  t.accept_dom <- Some (Domain.spawn accept_loop)
+  let run_accept () =
+    Fun.protect ~finally:(fun () -> Option.iter close_quiet !reserve) accept_loop
+  in
+  t.accept_th <- Some (Thread.create run_accept ())
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     shutdown_quiet t.listener;
     close_quiet t.listener;
-    (match t.accept_dom with Some d -> Domain.join d | None -> ());
+    Option.iter Thread.join t.accept_th;
     let rec drain () =
       Mutex.lock t.mu;
       let conns = t.conns in
@@ -151,43 +191,31 @@ let stop t =
       | [] -> ()
       | cs ->
           List.iter (fun c -> shutdown_quiet c.fd) cs;
-          List.iter (fun c -> try Domain.join c.dom with _ -> ()) cs;
+          List.iter (fun c -> Thread.join c.th) cs;
           drain ()
     in
     drain ()
   end
 
+(* A blocking connect bounded by [SO_SNDTIMEO], which Linux applies to
+   connect as to writes ([EINPROGRESS] when it expires). No [select]:
+   it rejects descriptors numbered 1024 and up. *)
 let connect ~host ~port ~timeout_s =
   match resolve host port with
   | Error _ as e -> e
   | Ok addr -> (
       let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun m ->
-            close_quiet fd;
-            Error m)
-          fmt
-      in
-      Unix.set_nonblock fd;
-      match Unix.connect fd addr with
+      match
+        Unix.setsockopt_float fd SO_SNDTIMEO (Float.max 0.001 timeout_s);
+        Unix.connect fd addr
+      with
       | () ->
-          Unix.clear_nonblock fd;
           (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
           Ok fd
-      | exception Unix.Unix_error (EINPROGRESS, _, _) -> (
-          match Unix.select [] [ fd ] [] timeout_s with
-          | _, [ _ ], _ -> (
-              match Unix.getsockopt_error fd with
-              | None ->
-                  Unix.clear_nonblock fd;
-                  (try Unix.setsockopt fd TCP_NODELAY true
-                   with Unix.Unix_error _ -> ());
-                  Ok fd
-              | Some e ->
-                  fail "connect %s:%d: %s" host port (Unix.error_message e))
-          | _ -> fail "connect %s:%d: timed out after %.1fs" host port timeout_s
-          | exception Unix.Unix_error (e, _, _) ->
-              fail "connect %s:%d: %s" host port (Unix.error_message e))
       | exception Unix.Unix_error (e, _, _) ->
-          fail "connect %s:%d: %s" host port (Unix.error_message e))
+          close_quiet fd;
+          Error
+            (match e with
+            | EINPROGRESS | EAGAIN | EWOULDBLOCK | ETIMEDOUT ->
+                Printf.sprintf "connect %s:%d: timed out after %.1fs" host port timeout_s
+            | e -> Printf.sprintf "connect %s:%d: %s" host port (Unix.error_message e)))

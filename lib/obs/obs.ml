@@ -78,11 +78,14 @@ let new_pnode name =
     pf_children = Hashtbl.create 4;
   }
 
+module Tmap = Map.Make (Int)
+
 type slab = {
   mutable s_ccells : ccell array; (* by counter id; dummy_ccell = absent *)
   mutable s_hcells : hcell array; (* by histogram id *)
   s_proot : pnode; (* this domain's profile forest *)
-  mutable s_pstack : pnode list; (* open spans, innermost first *)
+  s_pstacks : pnode list Tmap.t Atomic.t;
+      (* open spans by thread id, innermost first; empty stacks unbound *)
 }
 
 let dummy_ccell = { cc_v = 0 }
@@ -100,7 +103,7 @@ let slab_key : slab Domain.DLS.key =
             match !slab_pool with
             | s :: rest ->
                 slab_pool := rest;
-                s.s_pstack <- [];
+                Atomic.set s.s_pstacks Tmap.empty;
                 s
             | [] ->
                 let s =
@@ -108,7 +111,7 @@ let slab_key : slab Domain.DLS.key =
                     s_ccells = [||];
                     s_hcells = [||];
                     s_proot = new_pnode "";
-                    s_pstack = [];
+                    s_pstacks = Atomic.make Tmap.empty;
                   }
                 in
                 all_slabs := s :: !all_slabs;
@@ -335,36 +338,56 @@ let quantile h q = quantile_of_snap (merge_histogram h) q
 (* ------------------------------------------------------------------ *)
 (* spans: a continuous profile as a per-domain call tree
 
-   [with_span] pushes onto a domain-local stack of tree nodes, so hot
-   nesting is lock-free; each node accumulates (count, total, max)
-   plus GC deltas (minor/major words, compactions) for top-level
-   spans, where the sampling cost amortizes over the whole scope.
-   Readers merge every domain's forest by name. The pop restores the
-   exact pre-push stack, so a raise anywhere inside — even one that
-   skipped an inner span's own cleanup — cannot leak stack entries. *)
+   [with_span] pushes onto a thread-local stack of tree nodes, kept in
+   the domain's slab, so hot nesting is lock-free; each node
+   accumulates (count, total, max) plus GC deltas (minor/major words,
+   compactions) for top-level spans, where the sampling cost amortizes
+   over the whole scope. Readers merge every domain's forest by name.
+   The pop restores the exact pre-push stack, so a raise anywhere
+   inside — even one that skipped an inner span's own cleanup — cannot
+   leak stack entries.
+
+   Systhreads of one domain share its slab and may switch at any
+   allocation. So each thread's stack is its own binding, swapped in by
+   compare-and-set (a switch mid-update cannot drop another thread's
+   binding), and a new tree node is inserted under the registry lock
+   (two threads may open the same child at once). *)
+
+let set_pstack s tid stack =
+  let rec go () =
+    let m = Atomic.get s.s_pstacks in
+    let m' = if stack = [] then Tmap.remove tid m else Tmap.add tid stack m in
+    if not (Atomic.compare_and_set s.s_pstacks m m') then go ()
+  in
+  go ()
+
+let child parent name =
+  match Hashtbl.find_opt parent.pf_children name with
+  | Some n -> n
+  | None ->
+      locked (fun () ->
+          match Hashtbl.find_opt parent.pf_children name with
+          | Some n -> n
+          | None ->
+              let n = new_pnode name in
+              Hashtbl.replace parent.pf_children name n;
+              n)
 
 let with_span name f =
   if not (enabled ()) then f ()
   else begin
     let s = slab () in
-    let parent = match s.s_pstack with [] -> s.s_proot | p :: _ -> p in
-    let node =
-      match Hashtbl.find_opt parent.pf_children name with
-      | Some n -> n
-      | None ->
-          let n = new_pnode name in
-          Hashtbl.replace parent.pf_children name n;
-          n
-    in
-    let saved = s.s_pstack in
+    let tid = Thread.id (Thread.self ()) in
+    let saved = Option.value (Tmap.find_opt tid (Atomic.get s.s_pstacks)) ~default:[] in
+    let node = child (match saved with [] -> s.s_proot | p :: _ -> p) name in
     let top_level = saved = [] in
-    s.s_pstack <- node :: saved;
+    set_pstack s tid (node :: saved);
     let gc0 = if top_level then Some (Gc.quick_stat ()) else None in
     let t0 = now () in
     Fun.protect
       ~finally:(fun () ->
         let dt = now () -. t0 in
-        s.s_pstack <- saved;
+        set_pstack s tid saved;
         node.pf_count <- node.pf_count + 1;
         node.pf_f.(0) <- node.pf_f.(0) +. dt;
         if dt > node.pf_f.(1) then node.pf_f.(1) <- dt;

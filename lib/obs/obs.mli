@@ -87,12 +87,14 @@ val time_ms : histogram -> (unit -> 'a) -> 'a
     another becomes a child node, and each node accumulates
     [(count, total, max)] wall time plus GC deltas (minor/major
     allocated words and compactions, sampled on top-level spans where
-    the [Gc.quick_stat] cost amortizes). The open-span stack and the
-    tree being written are domain-local, so span entry/exit takes no
-    lock; {!profile} merges every domain's forest by node name. *)
+    the [Gc.quick_stat] cost amortizes). The tree being written is
+    domain-local and the open-span stack is per thread, so span
+    entry/exit takes no lock (only a node's first creation does), and
+    systhreads sharing a domain never nest under each other's spans;
+    {!profile} merges every domain's forest by node name. *)
 
 val with_span : string -> (unit -> 'a) -> 'a
-(** Time [f] as a child of the innermost open span on this domain.
+(** Time [f] as a child of the innermost open span on this thread.
     When disabled this is exactly [f ()]. Exceptions propagate; the
     span still closes, and the pop restores the exact pre-push stack,
     so a raise can never leak a stack entry — even from a nested

@@ -26,8 +26,8 @@ val push : 'a t -> 'a -> (unit, reject) result
 
 val push_wait : 'a t -> 'a -> (unit, reject) result
 (** Block while the queue is full instead of rejecting — the
-    backpressure flavor, used where the producer {e should} stall (a
-    replication receiver throttling its TCP peer) rather than shed.
+    backpressure flavor, for a producer that {e should} stall rather
+    than shed.
     {!close} wakes every blocked producer with [Error Closed]; this
     never returns [Error (Full _)]. *)
 

@@ -243,7 +243,9 @@ let queue_saturation ~rand ~specs ~n ~batches:_ ~dir:_ =
   if depth > capacity then
     failwith (Printf.sprintf "queue depth %d exceeds capacity %d" depth capacity);
   (* the breaker's log-and-defer window is where stale reads live:
-     catch one in the act *)
+     catch one in the act. [Service.idle], not an empty queue plus
+     [ingested = view]: those also hold while the writer holds a popped
+     batch, before that window opens *)
   let saw_stale = ref false in
   (try
      wait_until ~timeout:30.0 ~what:"a stale-flagged read" (fun () ->
@@ -251,9 +253,7 @@ let queue_saturation ~rand ~specs ~n ~batches:_ ~dir:_ =
          (match r.Service.answer with
          | Ok _ -> if r.Service.stale then saw_stale := true
          | Error _ -> ());
-         !saw_stale
-         || Service.ingested_seq svc = Service.view_seq svc
-            && (Service.status svc).Service.s_queue = 0)
+         !saw_stale || Service.idle svc)
    with Failure _ -> ());
   wait_until ~timeout:60.0 ~what:"drain after the flood" (fun () ->
       (Service.status svc).Service.s_queue = 0

@@ -205,7 +205,7 @@ type t = {
   mutable writer : unit Domain.t option;
   mutable abandoned : unit Domain.t list;  (* superseded writers; never joined *)
   mutable readers : unit Domain.t array;
-  mutable watchdog : unit Domain.t option;
+  mutable watchdog : Thread.t option;
 }
 
 let view_seq t = (Atomic.get t.view).v_seq
@@ -580,7 +580,7 @@ let handle_wedge t =
       | None -> ());
       t.writer <- Some (Domain.spawn (writer_domain t epoch b))
 
-let watchdog_domain t () =
+let watchdog t () =
   let last_health = ref 0. in
   let rec loop () =
     if not (Atomic.get t.shutdown) then begin
@@ -650,7 +650,7 @@ let start (cfg : config) spec =
   t.writer <- Some (Domain.spawn (writer_domain t 1 backend));
   t.readers <- Array.init cfg.readers (fun _ -> Domain.spawn (reader_loop t));
   if cfg.watchdog_s > 0. || cfg.health_file <> None then
-    t.watchdog <- Some (Domain.spawn (watchdog_domain t));
+    t.watchdog <- Some (Thread.create (watchdog t) ());
   t
 
 let stop t =
@@ -660,7 +660,7 @@ let stop t =
     (match t.writer with Some d -> Domain.join d | None -> ());
     Bqueue.close t.requests;
     Array.iter Domain.join t.readers;
-    (match t.watchdog with Some d -> Domain.join d | None -> ());
+    Option.iter Thread.join t.watchdog;
     if not (Atomic.get t.killed) then (
       match t.backend with
       | B_dur store ->
@@ -683,5 +683,5 @@ let kill t =
     (* readers drain and answer what's queued; the writer is abandoned
        wherever it is — no drain, no final snapshot, no store close *)
     Array.iter Domain.join t.readers;
-    match t.watchdog with Some d -> Domain.join d | None -> ()
+    Option.iter Thread.join t.watchdog
   end

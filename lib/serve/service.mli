@@ -29,7 +29,9 @@
     one batched rebuild and re-probes incremental mode. Readers serve
     the last good view, stale-flagged, throughout.
 
-    {b Watchdog.} A monitor domain checks the writer's heartbeat. A
+    {b Watchdog.} A monitor systhread checks the writer's heartbeat
+    (it only sleeps and reads atomics, so it takes no domain; it runs
+    in the domain that called {!start}). A
     wedged writer on an ephemeral backend is failed over: the epoch is
     bumped (the old writer's publications are dead on arrival — epoch
     is checked under the publication lock) and a replacement writer
@@ -66,8 +68,8 @@ type config = {
           open the breaker *)
   open_backlog : int;  (** deferred batches folded per rebuild when open *)
   watchdog_s : float;
-      (** heartbeat staleness declaring the writer wedged; [0.] runs
-          no watchdog domain *)
+      (** heartbeat staleness declaring the writer wedged; [0.] (with
+          no health file) runs no watchdog thread *)
   health_every_s : float;  (** health-file refresh period *)
   health_file : string option;
   dirty_radius : int option;  (** forwarded to {!Repair.apply}; testing *)
@@ -84,7 +86,8 @@ val default_config : config
 type t
 
 val start : config -> backend_spec -> t
-(** Spawn the writer, the readers and (if configured) the watchdog.
+(** Spawn the writer and reader domains and (if configured) the
+    watchdog thread.
     The first view is published before [start] returns — reads are
     servable immediately. *)
 

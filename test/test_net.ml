@@ -1,8 +1,10 @@
 (* Tests for the TCP transport and replication layer: frame framing
-   against corruption and clean/dirty close, the blocking bounded
-   queue under close, snapshot forward-compatibility (unknown section
-   kinds), a WAL sequence gap exactly on a segment-rotation boundary,
-   and the seeded network chaos harness as acceptance. *)
+   against corruption, clean/dirty close and mid-frame deadlines, the
+   blocking bounded queue under close, snapshot forward-compatibility
+   (unknown section kinds), a WAL sequence gap exactly on a
+   segment-rotation boundary, the listener's limits (hundreds of
+   sessions, a full fd table, descriptors past 1024), and the seeded
+   network chaos harness as acceptance. *)
 open Rs_graph
 module Delta = Rs_dynamic.Delta
 module Bqueue = Rs_serve.Bqueue
@@ -105,6 +107,18 @@ let test_frame_timeout () =
   | Error e -> Alcotest.failf "expected Timeout, got %s" (Frame.error_to_string e)
   | Ok _ -> Alcotest.fail "recv with nothing to read returned a frame");
   check "deadline honored" true (Unix.gettimeofday () -. t0 < 2.0);
+  Unix.close a;
+  Unix.close b
+
+(* A deadline that passes after part of a frame was read leaves the
+   stream out of step: that is corruption, not an idle timeout. *)
+let test_frame_deadline_mid_frame () =
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  ignore (Unix.write_substring a "\x10\x00\x00\x00" 0 4);
+  (match Frame.recv b ~timeout_s:0.1 with
+  | Error (Frame.Corrupt _) -> ()
+  | Error e -> Alcotest.failf "expected Corrupt, got %s" (Frame.error_to_string e)
+  | Ok _ -> Alcotest.fail "half a header returned a frame");
   Unix.close a;
   Unix.close b
 
@@ -236,14 +250,20 @@ let test_wal_gap_at_rotation () =
   check_int "log is whole again" 4 (List.length scan3.Wal.records);
   rm_rf dir
 
-(* {1 Tcp at the domain limit} *)
+(* {1 Tcp: connections on threads, the fd table as the limit} *)
 
-(* With every domain the runtime allows parked, the accept loop cannot
-   hand a connection to a handler domain: it must refuse that one
-   connection and keep listening, serve again once domains are free,
-   and still stop cleanly. *)
-let test_tcp_domain_limit () =
-  let module Tcp = Rs_net.Tcp in
+module Tcp = Rs_net.Tcp
+module Repl = Rs_net.Repl
+module Service = Rs_serve.Service
+module Obs = Rs_obs.Obs
+
+let refused () = Obs.counter_value (Obs.counter "net/refused")
+
+let with_obs f =
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+
+let echo_server () =
   let srv =
     match Tcp.listen ~host:"127.0.0.1" ~port:0 with
     | Ok s -> s
@@ -253,33 +273,119 @@ let test_tcp_domain_limit () =
       match Frame.recv fd ~timeout_s:5.0 with
       | Ok q -> ignore (Frame.send fd ~timeout_s:5.0 ("echo " ^ q))
       | Error _ -> ());
-  let ask () =
+  srv
+
+let ask srv =
+  match Tcp.connect ~host:"127.0.0.1" ~port:(Tcp.port srv) ~timeout_s:5.0 with
+  | Error e -> Error e
+  | Ok fd ->
+      let r =
+        match Frame.send fd ~timeout_s:5.0 "ping" with
+        | Error e -> Error (Frame.error_to_string e)
+        | Ok () -> Result.map_error Frame.error_to_string (Frame.recv fd ~timeout_s:5.0)
+      in
+      Unix.close fd;
+      r
+
+(* Duplicates of one descriptor until the table is full ([cap] = [None])
+   or [cap] are open, lowest-numbered first. *)
+let hold_fds ?cap () =
+  let base = Unix.openfile "/dev/null" [ O_RDONLY ] 0 in
+  let rec go acc k =
+    if Some k = cap then (acc, true)
+    else if k >= 1 lsl 17 then (acc, false)
+    else
+      match Unix.dup base with
+      | fd -> go (fd :: acc) (k + 1)
+      | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) -> (acc, true)
+  in
+  let held, ok = go [] 0 in
+  (base :: List.rev held, ok)
+
+(* More sessions than OCaml's 128-domain cap ever allowed: every one is
+   served at once, none is refused, and stop joins them all. *)
+let test_many_query_sessions () =
+  with_obs @@ fun () ->
+  let g = Gen.random_connected (Rand.create 5) 30 0.2 in
+  let svc =
+    Service.start
+      { Service.default_config with readers = 2; watchdog_s = 0. }
+      (Service.Ephemeral { specs = [ Rs_dynamic.Repair.Gdy_k { k = 1 } ]; g })
+  in
+  let ld =
+    match Repl.lead ~service:svc ~store_dir:None ~host:"127.0.0.1" ~port:0 () with
+    | Ok ld -> ld
+    | Error e -> Alcotest.fail e
+  in
+  let refused0 = refused () in
+  let fds =
+    List.init 200 (fun _ ->
+        match Repl.connect_query ~host:"127.0.0.1" ~port:(Repl.leader_port ld) ~timeout_s:5.0 with
+        | Ok fd -> fd
+        | Error e -> Alcotest.failf "connect: %s" e)
+  in
+  List.iteri
+    (fun i fd ->
+      match Repl.request fd ~timeout_s:10.0 "stats" with
+      | Ok reply when contains reply "stats: n=30" -> ()
+      | Ok reply -> Alcotest.failf "session %d: unexpected reply %S" i reply
+      | Error e -> Alcotest.failf "session %d: %s" i e)
+    fds;
+  check_int "none refused" 0 (refused () - refused0);
+  Repl.stop_leader ld;
+  List.iter Unix.close fds;
+  ignore (Service.stop svc)
+
+(* At a full fd table a connection beyond it is refused and counted,
+   the accept loop does not spin, and service resumes once fds free.
+   A blocked [accept] already holds the slot for the next connection,
+   so the first client past the table is still served; the second is
+   the one that finds no room. *)
+let test_full_fd_table () =
+  with_obs @@ fun () ->
+  let srv = echo_server () in
+  let refused0 = refused () in
+  let held, full = hold_fds () in
+  if not full then begin
+    List.iter Unix.close held;
+    Tcp.stop srv;
+    Alcotest.skip ()
+  end;
+  (* free the lowest slot, so the client's own descriptor is a small one *)
+  let connect_in_freed_slot held =
+    Unix.close (List.hd held);
     match Tcp.connect ~host:"127.0.0.1" ~port:(Tcp.port srv) ~timeout_s:5.0 with
-    | Error e -> Error e
-    | Ok fd ->
-        let r =
-          match Frame.send fd ~timeout_s:5.0 "ping" with
-          | Error e -> Error (Frame.error_to_string e)
-          | Ok () -> Result.map_error Frame.error_to_string (Frame.recv fd ~timeout_s:5.0)
-        in
-        Unix.close fd;
-        r
+    | Ok fd -> (fd, List.tl held)
+    | Error e -> Alcotest.failf "connect: %s" e
   in
-  let release = Atomic.make false in
-  let park () =
-    while not (Atomic.get release) do
-      Unix.sleepf 0.005
-    done
+  let first, held = connect_in_freed_slot held in
+  let second, held = connect_in_freed_slot held in
+  let seen = Frame.recv second ~timeout_s:5.0 in
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
   in
-  let rec fill acc = match Domain.spawn park with d -> fill (d :: acc) | exception Failure _ -> acc in
-  let parked = fill [] in
-  let refused = ask () in
-  Atomic.set release true;
-  List.iter Domain.join parked;
-  check "some domains were parked" true (parked <> []);
-  check "refused while no domain is free" true (Result.is_error refused);
-  check "answered once domains are free" true (ask () = Ok "echo ping");
+  let c0 = cpu () in
+  Unix.sleepf 1.0;
+  let busy = cpu () -. c0 in
+  List.iter Unix.close (first :: second :: held);
+  check "the second client saw Closed" true (seen = Error Frame.Closed);
+  check "counted in net/refused" true (refused () - refused0 >= 1);
+  if busy >= 0.5 then Alcotest.failf "the accept loop used %.2f s of CPU in 1 s" busy;
+  check "answered once fds are free" true (ask srv = Ok "echo ping");
   Tcp.stop srv
+
+(* [select] rejects descriptors numbered 1024 and up; connect must not
+   depend on it. *)
+let test_connect_high_fd () =
+  let srv = echo_server () in
+  let held, _ = hold_fds ~cap:1100 () in
+  let r = ask srv in
+  List.iter Unix.close held;
+  Tcp.stop srv;
+  match r with
+  | Ok reply -> check "answered" true (reply = "echo ping")
+  | Error e -> Alcotest.failf "connect with 1100 extra fds: %s" e
 
 (* {1 Network chaos as acceptance} *)
 
@@ -302,7 +408,9 @@ let () =
        [ Alcotest.test_case "round-trip" `Quick test_frame_roundtrip;
          Alcotest.test_case "crc rejects" `Quick test_frame_crc_rejects;
          Alcotest.test_case "close kinds" `Quick test_frame_close_kinds;
-         Alcotest.test_case "timeout" `Quick test_frame_timeout ]);
+         Alcotest.test_case "timeout" `Quick test_frame_timeout;
+         Alcotest.test_case "deadline mid-frame is corrupt" `Quick
+           test_frame_deadline_mid_frame ]);
       ("bqueue",
        [ Alcotest.test_case "close wakes blocked producers" `Quick
            test_bqueue_close_wakes_blocked;
@@ -316,5 +424,8 @@ let () =
       ("wal",
        [ Alcotest.test_case "gap at rotation boundary" `Quick
            test_wal_gap_at_rotation ]);
-      ("tcp", [ Alcotest.test_case "refuses at the domain limit" `Quick test_tcp_domain_limit ]);
+      ( "tcp",
+        [ Alcotest.test_case "200 concurrent query sessions" `Quick test_many_query_sessions;
+          Alcotest.test_case "refuses at a full fd table" `Quick test_full_fd_table;
+          Alcotest.test_case "connect past fd 1024" `Quick test_connect_high_fd ] );
       ("chaos", [ Alcotest.test_case "all scenarios" `Slow test_net_chaos ]) ]

@@ -102,6 +102,26 @@ let test_span_closes_on_exception () =
   Obs.with_span "after" (fun () -> ());
   check "sibling at top level" true (Obs.span_stats "after" <> None)
 
+(* Two systhreads of one domain hold spans open at the same time: the
+   second must not nest under the first, and the first's pop must not
+   leave the second's entry (or its own) on a shared stack. *)
+let test_span_threads_share_domain () =
+  let open_span name () = Obs.with_span name (fun () -> Unix.sleepf 0.1) in
+  let a = Thread.create (open_span "thread_a") () in
+  Unix.sleepf 0.03;
+  let b = Thread.create (open_span "thread_b") () in
+  Thread.join a;
+  Thread.join b;
+  List.iter
+    (fun name ->
+      match Obs.span_stats name with
+      | Some (count, _) -> check_int (name ^ " top level, once") 1 count
+      | None -> Alcotest.failf "%s is not a top-level span" name)
+    [ "thread_a"; "thread_b" ];
+  check "no cross-thread nesting" true (Obs.span_stats "thread_a/thread_b" = None);
+  Obs.with_span "later" (fun () -> ());
+  check "a later span is top level" true (Obs.span_stats "later" <> None)
+
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
@@ -414,6 +434,8 @@ let () =
           Alcotest.test_case "exception restores span stack" `Quick
             (with_obs test_span_exception_restores_stack);
           Alcotest.test_case "profile tree and folded export" `Quick (with_obs test_profile_tree);
+          Alcotest.test_case "threads sharing a domain" `Quick
+            (with_obs test_span_threads_share_domain);
         ] );
       ( "json",
         [
