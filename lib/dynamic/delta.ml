@@ -17,90 +17,102 @@ let check_edge n u v =
   check_vertex n v;
   if u = v then invalid_arg (Printf.sprintf "Delta: self-loop at vertex %d" u)
 
-(* Edge sets as int-encoded canonical pairs in a hash table: a
-   polymorphic-compare [Set] of boxed tuples made every apply O(m log m)
-   with a constant large enough to dominate repair latency. *)
+(* The net effect is an overlay over [g]: a small table from encoded
+   edge to its presence after the ops so far, consulted before
+   [Graph.mem_edge]. Only the edges an op names (and a downed node's
+   current edges) enter it, so the cost is O(ops + degree of downed
+   nodes), never O(m). *)
 let encode n u v = if u <= v then (u * n) + v else (v * n) + u
 let decode n e = (e / n, e mod n)
 
-let edge_tbl g =
+let effect g ops =
   let n = Graph.n g in
-  let t = Hashtbl.create (1 + (2 * Graph.m g)) in
-  Graph.fold_edges
-    (fun () u v ->
-      Hashtbl.replace t (encode n u v) ();
-      ())
-    () g;
-  t
-
-let after_tbl g ops =
-  let n = Graph.n g in
-  let t = edge_tbl g in
+  let overlay = Hashtbl.create 16 in
+  let set u v present = Hashtbl.replace overlay (encode n u v) present in
   List.iter
-    (fun op ->
-      match op with
+    (function
       | Add_edge (u, v) ->
           check_edge n u v;
-          Hashtbl.replace t (encode n u v) ()
+          set u v true
       | Remove_edge (u, v) ->
           check_edge n u v;
-          Hashtbl.remove t (encode n u v)
+          set u v false
       | Node_down u ->
           check_vertex n u;
-          let doomed =
+          Graph.iter_neighbors g u (fun v -> set u v false);
+          let linked =
             Hashtbl.fold
-              (fun e () acc ->
+              (fun e present acc ->
                 let a, b = decode n e in
-                if a = u || b = u then e :: acc else acc)
-              t []
+                if present && (a = u || b = u) then e :: acc else acc)
+              overlay []
           in
-          List.iter (Hashtbl.remove t) doomed
+          List.iter (fun e -> Hashtbl.replace overlay e false) linked
       | Node_up (u, links) ->
           List.iter
             (fun v ->
               check_edge n u v;
-              Hashtbl.replace t (encode n u v) ())
+              set u v true)
             links)
     ops;
-  t
-
-(* Sorting the int encodings with [Int.compare] is the lexicographic
-   pair order, without polymorphic compare on tuples. *)
-let pairs_of_tbl n t =
-  Hashtbl.fold (fun e () acc -> e :: acc) t []
-  |> List.sort Int.compare
-  |> List.map (decode n)
-
-let only n t t' =
-  Hashtbl.fold (fun e () acc -> if Hashtbl.mem t' e then acc else e :: acc) t []
-  |> List.sort Int.compare
-  |> List.map (decode n)
-
-let effect g ops =
-  let n = Graph.n g in
-  let before = edge_tbl g in
-  let after = after_tbl g ops in
-  (only n after before, only n before after)
-
-let apply g ops =
-  let n = Graph.n g in
-  let before = edge_tbl g in
-  let after = after_tbl g ops in
-  let unchanged =
-    Hashtbl.length before = Hashtbl.length after
-    && Hashtbl.fold (fun e () ok -> ok && Hashtbl.mem before e) after true
+  (* sorting the int encodings with [Int.compare] is the lexicographic
+     pair order, without polymorphic compare on tuples *)
+  let net want =
+    Hashtbl.fold
+      (fun e present acc ->
+        let u, v = decode n e in
+        if present = want && Graph.mem_edge g u v <> want then e :: acc else acc)
+      overlay []
+    |> List.sort Int.compare |> List.map (decode n)
   in
-  if unchanged then g else Graph.make ~n (pairs_of_tbl n after)
+  (net true, net false)
 
+type change = {
+  before : Graph.t;
+  after : Graph.t;
+  added : (int * int) list;
+  removed : (int * int) list;
+}
+
+let change g ops =
+  let added, removed = effect g ops in
+  let after = if added = [] && removed = [] then g else Graph.patch g ~added ~removed in
+  { before = g; after; added; removed }
+
+let quiescent c = c.added = [] && c.removed = []
+let apply g ops = (change g ops).after
+
+(* one merge over the two sorted edge arrays *)
 let diff g g' =
   if Graph.n g <> Graph.n g' then
     invalid_arg
       (Printf.sprintf "Delta.diff: vertex counts differ (%d vs %d)" (Graph.n g)
          (Graph.n g'));
-  let n = Graph.n g in
-  let before = edge_tbl g and after = edge_tbl g' in
-  List.map (fun (u, v) -> Remove_edge (u, v)) (only n before after)
-  @ List.map (fun (u, v) -> Add_edge (u, v)) (only n after before)
+  let e = Graph.edges g and e' = Graph.edges g' in
+  let m = Array.length e and m' = Array.length e' in
+  let removes = ref [] and adds = ref [] in
+  let rec go i j =
+    if i < m || j < m' then begin
+      let c =
+        if i >= m then 1
+        else if j >= m' then -1
+        else
+          let (u, v), (u', v') = (e.(i), e'.(j)) in
+          if u <> u' then Int.compare u u' else Int.compare v v'
+      in
+      if c = 0 then go (i + 1) (j + 1)
+      else if c < 0 then begin
+        removes := Remove_edge (fst e.(i), snd e.(i)) :: !removes;
+        go (i + 1) j
+      end
+      else begin
+        adds := Add_edge (fst e'.(j), snd e'.(j)) :: !adds;
+        go i (j + 1)
+      end
+    end
+  in
+  go 0 0;
+  List.rev_append !removes (List.rev !adds)
 
 let touched ~added ~removed =
   let m = Hashtbl.create 16 in

@@ -28,14 +28,33 @@ type t = op list
 
 val effect : Graph.t -> t -> (int * int) list * (int * int) list
 (** [effect g d] is the {e net} [(added, removed)] canonical edge
-    lists of applying [d] to [g] — ops that cancel out (or are
-    redundant against [g]) do not appear. Raises [Invalid_argument] on
-    out-of-range vertices or self-loops. *)
+    lists of applying [d] to [g], each sorted lexicographically — ops
+    that cancel out (or are redundant against [g]) do not appear.
+    Raises [Invalid_argument] on out-of-range vertices or self-loops.
+    Costs O(|d| + degree of each downed node): the ops are folded into
+    a small overlay over [g]'s adjacency probes, not into a copy of its
+    edge set. *)
+
+(** One delta resolved against one graph: its net effect and the graph
+    it leads to, computed once and shared by every consumer (the WAL,
+    each maintained spanner, the published view). *)
+type change = {
+  before : Graph.t;
+  after : Graph.t;  (** [before] itself when the change is quiescent *)
+  added : (int * int) list;  (** as in {!effect} *)
+  removed : (int * int) list;
+}
+
+val change : Graph.t -> t -> change
+(** {!effect} plus {!Rs_graph.Graph.patch}. Raises like {!effect}. *)
+
+val quiescent : change -> bool
+(** No net effect: [added] and [removed] both empty. *)
 
 val apply : Graph.t -> t -> Graph.t
-(** The graph after the batch (same vertex count). When the net effect
-    is empty this returns [g] itself (physical equality), so quiescent
-    deltas are observably free. *)
+(** The graph after the batch (same vertex count), [(change g d).after].
+    When the net effect is empty this returns [g] itself (physical
+    equality), so quiescent deltas are observably free. *)
 
 val diff : Graph.t -> Graph.t -> t
 (** [diff g g'] is a delta turning [g] into [g'] (edge adds and

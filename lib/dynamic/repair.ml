@@ -1,6 +1,5 @@
 open Rs_graph
-module Dom_tree = Rs_core.Dom_tree
-module Dom_tree_k = Rs_core.Dom_tree_k
+module Certificate = Rs_core.Certificate
 module Sharded = Rs_core.Sharded
 module Obs = Rs_obs.Obs
 
@@ -12,17 +11,25 @@ type spec = Sharded.strategy =
 
 let pp_spec = Sharded.pp_strategy
 
-(* Locality radii, by inspection of the constructions:
-   - [Dom_tree.gdy g ~r ~beta u] explores B(u, r + beta) but only ever
-     {e reads adjacency} of vertices it may pick or cover — spheres up
-     to r and annuli up to r - 1 + beta — so the tree is a function of
-     the edges with an endpoint within max r (r - 1 + beta) of u.
-   - [Dom_tree.mis] selects inside B(u, r) and grafts BFS paths there.
-   - [gdy_k]/[mis_k] read the 2-ball only (stars over direct relays). *)
+(* Locality radii, by inspection of the constructions. A root's tree
+   is a function of the edges with an endpoint within this distance of
+   it: an edge whose endpoints both lie farther out changes no
+   distance up to radius + 1 and no adjacency the construction reads.
+   - [Dom_tree.gdy g ~r ~beta u] covers the spheres up to r with the
+     balls B(x, 1) of annulus vertices x up to r - 1 + beta, and
+     grafts their canonical BFS paths: it reads the adjacency of
+     vertices within r - 1 + beta, and sphere membership up to r,
+     which the edges leaving distance r - 1 decide.
+   - [Dom_tree.mis] picks an independent set inside B(u, r): the
+     edges between two vertices at distance r matter.
+   - [gdy_k] is the (2, 0) case of [gdy] (a star over N(u) covering
+     the 2-sphere): radius 1. [mis_k] picks independent 2-sphere
+     vertices: radius 2. *)
 let radius = function
-  | Gdy { r; beta } -> max r (r - 1 + beta)
+  | Gdy { r; beta } -> r - 1 + beta
   | Mis { r } -> r
-  | Gdy_k _ | Mis_k _ -> 2
+  | Gdy_k _ -> 1
+  | Mis_k _ -> 2
 
 (* (alpha, beta) guarantees of the union (paper, Prop. 1 / 5 / 4):
    (r, 1)-dominating trees with r = ceil(1/eps)+1 give a
@@ -40,13 +47,6 @@ let alpha_beta = function
   | Gdy_k _ -> Some (1.0, 0.0)
   | Mis_k _ -> Some (2.0, -1.0)
   | Gdy _ | Mis _ -> None
-
-let tree_valid spec g t =
-  match spec with
-  | Gdy { r; beta } -> Dom_tree.is_dominating g ~r ~beta t
-  | Mis { r } -> Dom_tree.is_dominating g ~r ~beta:1 t
-  | Gdy_k { k } -> Dom_tree_k.is_k_dominating g ~k ~beta:0 t
-  | Mis_k { k } -> Dom_tree_k.is_k_dominating g ~k ~beta:1 t
 
 (* ------------------------------------------------------------------ *)
 (* metrics *)
@@ -72,7 +72,10 @@ type t = {
   depth : int array;  (* ordering scratch for [shallow_first] *)
   par : int array;
   scratch : Bfs.Scratch.t;  (* dirty-set traversal *)
-  verify_scratch : Bfs.Scratch.t;  (* second lane for the (alpha, beta) gate *)
+  near : int array;  (* dirty set: min distance to a seed, for [reached] vertices *)
+  reached : Bfs.Marks.t;
+  redone : Bfs.Marks.t;  (* roots whose tree the running apply recomputed *)
+  cert : Certificate.t;  (* the local certificate's scratch *)
   mutable spanner : Edge_set.t;
 }
 
@@ -91,7 +94,10 @@ let create spec g =
     depth = Array.make n 0;
     par = Array.make n 0;
     scratch = Bfs.Scratch.create ();
-    verify_scratch = Bfs.Scratch.create ();
+    near = Array.make n 0;
+    reached = Bfs.Marks.create ();
+    redone = Bfs.Marks.create ();
+    cert = Certificate.create ();
     spanner = Edge_set.create g;
   }
 
@@ -116,39 +122,39 @@ let shallow_first st u pairs len =
     keys.(i) <- (st.depth.(c) * n) + c
   done;
   Array.sort Int.compare keys;
-  let tree = ref [] in
+  let fresh i = i = 0 || keys.(i) <> keys.(i - 1) in
+  let uniq = ref 0 in
+  Array.iteri (fun i _ -> if fresh i then incr uniq) keys;
+  let tree = Array.make (2 * !uniq) 0 and j = ref 0 in
   Array.iteri
     (fun i key ->
-      if i = 0 || key <> keys.(i - 1) then
+      if fresh i then begin
         let c = key mod n in
-        tree := c :: st.par.(c) :: !tree)
+        tree.(2 * !j) <- st.par.(c);
+        tree.((2 * !j) + 1) <- c;
+        incr j
+      end)
     keys;
-  Array.of_list (List.rev !tree)
+  tree
 
-(* The trees of [roots] on [g], batched through the Sharded engine,
-   stored per root and counted by [g]'s edge ids. *)
-let build_trees st g roots =
-  Sharded.iter_trees g st.spec roots (fun u pairs len ->
-      let tree = shallow_first st u pairs len in
-      st.trees.(u) <- tree;
-      count st g tree 1)
+(* The trees of [roots] on [g], batched through the Sharded engine and
+   handed to [f root tree] in stored form. *)
+let iter_built st g roots f =
+  Sharded.iter_trees g st.spec roots (fun u pairs len -> f u (shallow_first st u pairs len))
+
+let store st g u tree =
+  st.trees.(u) <- tree;
+  count st g tree 1
 
 let materialize g counts =
   let es = Edge_set.create g in
   Array.iteri (fun id c -> if c > 0 then Edge_set.add_id es id) counts;
   es
 
-let stored_tree ~n u tree =
-  let t = Tree.create ~n ~root:u in
-  for i = 0 to (Array.length tree / 2) - 1 do
-    Tree.add_edge t ~parent:tree.(2 * i) ~child:tree.((2 * i) + 1)
-  done;
-  t
-
 let init spec g =
   Obs.with_span "repair/init" (fun () ->
       let st = create spec g in
-      build_trees st g (Sharded.locality_order g);
+      iter_built st g (Sharded.locality_order g) (store st g);
       st.spanner <- materialize g st.counts;
       st)
 
@@ -183,22 +189,19 @@ let restore spec g ~trees =
   let st = create spec g in
   Array.iteri
     (fun u edges ->
-      List.iter
-        (fun (p, c) ->
-          if not (Graph.mem_edge g p c) then
-            failwith
-              (Printf.sprintf
-                 "Repair.restore: tree %d edge (%d,%d) absent from the graph" u p c))
+      let tree = Array.make (2 * List.length edges) 0 in
+      List.iteri
+        (fun i (p, c) ->
+          tree.(2 * i) <- p;
+          tree.((2 * i) + 1) <- c)
         edges;
-      let tree = Array.of_list (List.concat_map (fun (p, c) -> [ p; c ]) edges) in
-      (* replay through [Tree.add_edge] so a structurally bogus list
-         (orphan child, conflicting parents) is rejected here, not
-         discovered as a corrupt spanner later *)
-      (try ignore (stored_tree ~n u tree)
-       with Invalid_argument msg ->
-         failwith (Printf.sprintf "Repair.restore: tree %d malformed: %s" u msg));
-      st.trees.(u) <- tree;
-      count st g tree 1)
+      (* replay into stamped arrays, so a structurally bogus list
+         (foreign edge, orphan child, conflicting parents) is rejected
+         here, not discovered as a corrupt spanner later *)
+      (match Certificate.replay st.cert g ~root:u tree with
+      | Ok () -> ()
+      | Error reason -> failwith (Printf.sprintf "Repair.restore: tree %d %s" u reason));
+      store st g u tree)
     trees;
   st.spanner <- materialize g st.counts;
   st
@@ -224,40 +227,55 @@ let pp_outcome fmt o =
   Format.fprintf fmt "dirty=%d rebuilt=%d escalations=%d level=%a edges_changed=%d"
     o.dirty o.rebuilt o.escalations pp_level o.level o.edges_changed
 
-(* Min distance from any seed, bounded by [radius], measured in BOTH
-   graphs: a removed edge is only traversable in the old graph, an
-   added one only in the new, and a root is affected if the change
-   sits inside its relevant neighborhood in either. *)
-let seed_depths st ~old_g ~new_g ~seeds ~radius =
-  let n = Graph.n new_g in
-  let depth = Array.make n max_int in
+(* The roots within [radius] of a seed, measured in BOTH graphs (a
+   removed edge is only traversable in the old graph, an added one only
+   in the new, and a root is affected if the change sits inside its
+   relevant neighborhood in either), with their least seed distance
+   left in [st.near]. Stamped, so O(balls), not O(n). Returned in
+   discovery order, unsorted: the order only decides how the engine
+   batches the roots, never their trees. *)
+let near_roots st ~old_g ~new_g ~seeds ~radius =
+  Bfs.Marks.clear st.reached;
+  let found = ref [] in
   let scan g =
     List.iter
       (fun w ->
         Bfs.Scratch.run ~radius st.scratch g w;
         Bfs.Scratch.iter_visited st.scratch (fun v ->
             let d = Bfs.Scratch.dist st.scratch v in
-            if d < depth.(v) then depth.(v) <- d))
+            if not (Bfs.Marks.mem st.reached v) then begin
+              Bfs.Marks.set st.reached v;
+              st.near.(v) <- d;
+              found := v :: !found
+            end
+            else if d < st.near.(v) then st.near.(v) <- d))
       seeds
   in
   scan old_g;
   scan new_g;
-  depth
+  List.rev !found
 
-(* Old edge id -> new edge id, -1 for a removed edge: one merge over
-   the two canonical, lexicographically sorted edge arrays. *)
-let remap g g' =
-  let e' = Graph.edges g' in
-  let m' = Array.length e' in
-  let j = ref 0 in
-  Array.map
-    (fun (u, v) ->
-      let before (u', v') = u' < u || (u' = u && v' < v) in
-      while !j < m' && before e'.(!j) do
+(* Old edge id -> new edge id, -1 for a removed edge. The removed
+   edges' old ids and the added edges' new ids are looked up once; the
+   surviving edges then fill the remaining new ids in order — one int
+   pass, no pair comparisons. *)
+let remap (c : Delta.change) =
+  let ids g es = Array.of_list (List.map (fun (u, v) -> Graph.edge_id g u v) es) in
+  let removed = ids c.before c.removed and added = ids c.after c.added in
+  let map = Array.make (Graph.m c.before) (-1) in
+  let r = ref 0 and a = ref 0 and j = ref 0 in
+  for i = 0 to Array.length map - 1 do
+    if !r < Array.length removed && removed.(!r) = i then incr r
+    else begin
+      while !a < Array.length added && added.(!a) = !j do
+        incr a;
         incr j
       done;
-      if !j < m' && fst e'.(!j) = u && snd e'.(!j) = v then !j else -1)
-    (Graph.edges g)
+      map.(i) <- !j;
+      incr j
+    end
+  done;
+  map
 
 (* Carry the refcounts over to the new ids. Gate (a) falls out of the
    merge: a still-referenced edge with no new id means a retained
@@ -270,55 +288,14 @@ let carry_counts st ~map ~m =
   st.counts <- counts;
   not !lost
 
-(* Gate (b): clean trees on the fringe of the dirty region must still
-   be dominating for their roots in the new graph. The fringe is
-   computed at the spec's {e true} locality radius, so with the
-   default radius it is empty (locality guarantees the property) and
-   with an under-estimated [?dirty_radius] it is exactly the at-risk
-   annulus. *)
-let gate_fringe_valid st g' ~fringe ~recomputed =
-  let n = Graph.n g' in
-  List.for_all
-    (fun u -> recomputed.(u) || tree_valid st.spec g' (stored_tree ~n u st.trees.(u)))
-    fringe
-
-(* Gate (d): direct (alpha, beta) distance check from every dirty
-   source, mirroring [Verify.remote_spanner_violations] (sources
-   restricted to the dirty region). *)
-let gate_alpha_beta st g' ~h_adj ~dirty =
-  match alpha_beta st.spec with
-  | None -> true
-  | Some (alpha, beta) ->
-      let n = Graph.n g' in
-      List.for_all
-        (fun u ->
-          Bfs.Scratch.run st.scratch g' u;
-          Bfs.Scratch.run_augmented st.verify_scratch g' h_adj u;
-          let ok = ref true in
-          for v = 0 to n - 1 do
-            if !ok && v <> u then begin
-              let dg = Bfs.Scratch.dist st.scratch v in
-              if dg > 1 then begin
-                let bound = (alpha *. float_of_int dg) +. beta in
-                let reached = Bfs.Scratch.reached st.verify_scratch v in
-                if
-                  (not reached)
-                  || float_of_int (Bfs.Scratch.dist st.verify_scratch v)
-                     > bound +. 1e-9
-                then ok := false
-              end
-            end
-          done;
-          !ok)
-        dirty
-
-let apply ?dirty_radius st delta =
+let apply_change ?dirty_radius st (c : Delta.change) =
+  if c.before != st.g && not (Graph.equal c.before st.g) then
+    invalid_arg "Repair.apply_change: the change was resolved against another graph";
   Obs.with_span "repair/apply" (fun () ->
       let t0 = Obs.now () in
       Obs.incr c_applies;
       let n = Graph.n st.g in
-      let added, removed = Delta.effect st.g delta in
-      if added = [] && removed = [] then begin
+      if Delta.quiescent c then begin
         (* Quiescent: nothing moved, nothing recomputed, state
            physically untouched. *)
         Obs.add c_saved n;
@@ -326,80 +303,80 @@ let apply ?dirty_radius st delta =
         { dirty = 0; rebuilt = 0; escalations = 0; level = Local; edges_changed = 0 }
       end
       else begin
-        (* Build the new graph straight from the net effect: [added]
-           and [removed] are sorted canonical lists, and [Graph.edges]
-           is in the same order, so one pass dropping [removed] plus a
-           merge keeps the edge list sorted without re-deriving the
-           delta's edge tables. *)
-        let g' =
-          let rm = ref removed and kept = ref [] in
-          Array.iter
-            (fun p ->
-              match !rm with
-              | q :: rest when q = p -> rm := rest
-              | _ -> kept := p :: !kept)
-            (Graph.edges st.g);
-          Graph.make ~n (List.merge compare (List.rev !kept) added)
-        in
-        let seeds = Delta.touched ~added ~removed in
+        let g' = c.after and old_g = st.g and old_spanner = st.spanner in
+        let seeds = Delta.touched ~added:c.added ~removed:c.removed in
         let r_spec = radius st.spec in
         let r_used = Option.value dirty_radius ~default:r_spec in
         let r_check = max r_used r_spec in
-        let depth =
+        (* dirty roots are recomputed and replace their trees; fringe
+           roots — between the radius used and the spec's true one,
+           none unless [?dirty_radius] under-estimates — are
+           recomputed and compared *)
+        let dirty, fringe =
           Obs.with_span "dirty_set" (fun () ->
-              seed_depths st ~old_g:st.g ~new_g:g' ~seeds ~radius:r_check)
+              near_roots st ~old_g ~new_g:g' ~seeds ~radius:r_check
+              |> List.partition (fun v -> st.near.(v) <= r_used))
         in
-        let dirty = ref [] and fringe = ref [] in
-        for v = n - 1 downto 0 do
-          if depth.(v) <= r_used then dirty := v :: !dirty
-          else if depth.(v) <= r_check then fringe := v :: !fringe
-        done;
-        let dirty = !dirty and fringe = !fringe in
         Obs.add c_dirty (List.length dirty);
-        let old_g = st.g and old_spanner = st.spanner in
-        let recomputed = Array.make n false in
-        let rebuild us =
-          let us = List.filter (fun u -> not recomputed.(u)) us in
-          List.iter (fun u -> recomputed.(u) <- true) us;
-          build_trees st g' (Array.of_list us)
+        Bfs.Marks.clear st.redone;
+        let rebuilt = ref 0 and fringe_same = ref true in
+        let redo u tree =
+          Bfs.Marks.set st.redone u;
+          incr rebuilt;
+          if st.near.(u) <= r_used then store st g' u tree
+          else if tree <> st.trees.(u) then begin
+            fringe_same := false;
+            st.trees.(u) <- tree
+          end
         in
         (* Splice: release the dirty trees under the old ids, carry the
            counts to the new ids, count the recomputed trees in. *)
         let map, edges_kept =
           Obs.with_span "rebuild" @@ fun () ->
           List.iter (fun u -> count st old_g st.trees.(u) (-1)) dirty;
-          let map = remap old_g g' in
+          let map = remap c in
           let kept = carry_counts st ~map ~m:(Graph.m g') in
-          rebuild dirty;
+          iter_built st g' (Array.of_list (dirty @ fringe)) redo;
           (map, kept)
         in
-        st.spanner <- materialize g' st.counts;
+        (* Gates: (a) no retained tree lost an edge; (b) every tree
+           this apply built passes the local certificate, and every
+           fringe tree equals its recomputation. By Props. 1/4/5 the
+           union of the certified trees is a remote-spanner, and with
+           the fringe unchanged it is the from-scratch build. *)
         let level =
           if
             Obs.with_span "gates" @@ fun () ->
-            edges_kept
-            && gate_fringe_valid st g' ~fringe ~recomputed
-            && gate_alpha_beta st g' ~h_adj:(Edge_set.to_adjacency st.spanner) ~dirty
+            edges_kept && !fringe_same
+            && List.for_all
+                 (fun u -> Certificate.check st.cert g' st.spec ~root:u st.trees.(u))
+                 (dirty @ fringe)
           then Local
           else begin
             Obs.incr c_gate_failures;
             Obs.incr c_escalations;
-            (* Full rebuild on the new graph —
-               correct by construction, no gate to pass. Counts restart
-               from the trees already recomputed. *)
+            (* Full rebuild on the new graph — correct by construction,
+               no gate to pass. Counts restart from the trees already
+               recomputed. *)
             Obs.with_span "rebuild" (fun () ->
                 st.counts <- Array.make (Graph.m g') 0;
-                Array.iteri (fun u tree -> if recomputed.(u) then count st g' tree 1) st.trees;
-                rebuild (List.init n Fun.id));
-            st.spanner <- materialize g' st.counts;
+                Array.iteri
+                  (fun u tree -> if Bfs.Marks.mem st.redone u then count st g' tree 1)
+                  st.trees;
+                let rest =
+                  List.filter
+                    (fun u -> not (Bfs.Marks.mem st.redone u))
+                    (Array.to_list (Sharded.locality_order g'))
+                in
+                iter_built st g' (Array.of_list rest) (fun u tree ->
+                    incr rebuilt;
+                    store st g' u tree));
             Full
           end
         in
-        let rebuilt_total =
-          Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 recomputed
-        in
-        Obs.add c_rebuilt rebuilt_total;
-        Obs.add c_saved (n - rebuilt_total);
+        st.spanner <- materialize g' st.counts;
+        Obs.add c_rebuilt !rebuilt;
+        Obs.add c_saved (n - !rebuilt);
         st.g <- g';
         (* symmetric difference of the two spanners, matched by the id map *)
         let both = ref 0 in
@@ -409,13 +386,15 @@ let apply ?dirty_radius st delta =
         Obs.observe h_latency ((Obs.now () -. t0) *. 1000.0);
         {
           dirty = List.length dirty;
-          rebuilt = rebuilt_total;
+          rebuilt = !rebuilt;
           escalations = (if level = Full then 1 else 0);
           level;
           edges_changed =
             Edge_set.cardinal old_spanner + Edge_set.cardinal st.spanner - (2 * !both);
         }
       end)
+
+let apply ?dirty_radius st delta = apply_change ?dirty_radius st (Delta.change st.g delta)
 
 let incremental_target spec =
   let state = ref None in

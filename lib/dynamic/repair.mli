@@ -1,16 +1,18 @@
 (** Incremental spanner repair under topology deltas.
 
     The paper's locality promise (Propositions 1 and 5) made
-    operational: a node's dominating tree is a function of its bounded
-    neighborhood only — radius [max r (r-1+beta)] for the Prop.-1 tree
-    families, radius 2 for the (2,0)/(2,1) k-connecting star families —
-    so when a delta touches the topology, only the roots whose
+    operational: a node's dominating tree is a function of the edges
+    near it only — those with an endpoint within {!radius}: [r-1+beta]
+    for the greedy (r, beta) trees, [r] for the MIS trees, 1 for the
+    (2,0) k-connecting stars and 2 for the (2,1) ones — so when a
+    delta touches the topology, only the roots whose
     {e relevant neighborhood} (in the old {e or} the new graph)
     intersects the changed edges need their trees recomputed. [Repair]
     maintains the full union-of-trees spanner across deltas by:
 
-    + computing the dirty set with bounded multi-source BFS from the
-      delta's touched endpoints, at the spec's locality radius;
+    + computing the dirty set with bounded BFS from the delta's
+      touched endpoints, at the spec's locality radius, over stamped
+      arrays — O(balls), not O(n);
     + recomputing dominating trees for dirty roots only, in
       multi-source BFS batches through {!Rs_core.Sharded.iter_trees} —
       the same engine as a from-scratch build;
@@ -19,19 +21,27 @@
       from the old ids to the new ones by one merge over the two sorted
       edge arrays, so an edge leaves the spanner exactly when its last
       contributing tree drops it;
-    + verifying the repair — every retained tree edge must survive in
-      the new graph (decided by that merge), the clean trees on the
-      dirty fringe must still be dominating, and the (alpha, beta)
-      stretch bound must hold from every dirty source — and
-      {e escalating} to a full rebuild when verification fails.
+    + certifying the repair locally — (a) every retained tree edge
+      survives in the new graph (decided by that merge), (b) every
+      recomputed tree passes {!Rs_core.Certificate.check}, the paper's
+      own definition checked inside the root's ball, and every tree on
+      the fringe of the dirty region equals its recomputation — and
+      {e escalating} to a full rebuild when a gate fails.
+
+    By Props. 1/4/5 a union of valid dominating trees is a
+    remote-spanner of the family's guarantee, so no global stretch
+    check runs on this path; that (alpha, beta) BFS oracle lives in
+    {!check}, which tests, recovery and the chaos harnesses apply.
 
     Per-root trees are kept as flat [int] arrays of [(parent, child)]
     pairs; no [Tree.t] is held. With the correct locality radius the
     repair never escalates and the repaired spanner is identical, root
     tree by root tree, to a from-scratch build on the new graph (the
-    equivalence property tests assert exactly this); escalation exists
-    so that an under-estimated radius (see [?dirty_radius]) degrades to
-    a costlier — but still correct — repair instead of a wrong one. *)
+    equivalence property tests assert exactly this). An
+    under-estimated radius (see [?dirty_radius]) leaves a non-empty
+    fringe; a fringe tree that differs from its recomputation fails
+    gate (b), so such an apply degrades to a costlier full rebuild —
+    never to a valid but different spanner. *)
 
 open Rs_graph
 
@@ -52,10 +62,10 @@ val radius : spec -> int
     the new graph) provably computes the same tree. *)
 
 val alpha_beta : spec -> (float * float) option
-(** The (alpha, beta) remote-spanner guarantee of the union, used by
-    the scoped verification gate; [None] for parameterizations the
-    paper proves no distance bound for (e.g. [Gdy] with [beta >= 2] —
-    those repairs are still gated on tree domination). *)
+(** The (alpha, beta) remote-spanner guarantee of the union, checked
+    by {!check}; [None] for parameterizations the paper proves no
+    distance bound for (e.g. [Gdy] with [beta >= 2] — those spanners
+    are still certified tree by tree). *)
 
 val build : spec -> Graph.t -> Edge_set.t
 (** From-scratch union of the spec's trees over all roots —
@@ -111,10 +121,11 @@ val restore : spec -> Graph.t -> trees:(int * int) list array -> t
 (** Rebuild maintained state from stored per-root trees: refcounts and
     the spanner edge set are rederived, {e no} BFS or tree construction
     runs — this is what makes crash recovery from a snapshot fast.
-    Validates that every stored edge exists in [g] and that each list
-    replays into a well-formed rooted tree; raises [Failure] with a
-    one-line diagnostic otherwise. [restore spec g ~trees:(export_trees
-    st)] is equivalent to [st] whenever [g] equals [graph st]. *)
+    Validates each list with {!Rs_core.Certificate.replay} — every
+    stored edge exists in [g], and the list replays into a well-formed
+    rooted tree — in O(tree) per root; raises [Failure] with a one-line
+    diagnostic otherwise. [restore spec g ~trees:(export_trees st)] is
+    equivalent to [st] whenever [g] equals [graph st]. *)
 
 type level =
   | Local  (** dirty set only — the fast path *)
@@ -131,15 +142,24 @@ type outcome = {
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val apply : ?dirty_radius:int -> t -> Delta.t -> outcome
-(** Apply one delta batch and repair the spanner. A delta with empty
+(** Apply one delta batch and repair the spanner:
+    [apply_change st (Delta.change (graph st) d)]. A delta with empty
     net effect recomputes nothing and leaves both {!graph} and
     {!spanner} physically untouched. Records [repair/*] counters
     (dirty nodes, trees rebuilt, escalations, saved BFS runs) and the
     [repair/latency] histogram (milliseconds per apply).
 
     [?dirty_radius] overrides the spec's locality radius — a testing
-    and experimentation hook: an under-estimate forces the verification
-    gate to fail and exercises the escalation to [Full]. *)
+    and experimentation hook: an under-estimate leaves a fringe of
+    roots that are recomputed and compared, and a fringe tree that
+    changed fails the gate and escalates to [Full]. *)
+
+val apply_change : ?dirty_radius:int -> t -> Delta.change -> outcome
+(** {!apply} for a delta already resolved against {!graph}, so callers
+    maintaining several spanners over one graph (the store, the
+    service) compute the net effect and the patched graph once. The
+    repaired state adopts [change.after] as its graph. Raises
+    [Invalid_argument] when [change.before] is not {!graph}. *)
 
 val incremental_target : spec -> Graph.t -> (int * int) list
 (** A stateful maintainer for {!Rs_distributed.Periodic.simulate}'s

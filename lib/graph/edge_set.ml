@@ -89,10 +89,21 @@ let to_adjacency s =
       adj.(v).(fill.(v)) <- u;
       fill.(v) <- fill.(v) + 1)
     s;
-  Array.iter (fun a -> Array.sort Int.compare a) adj;
+  (* no sort: ids ascend in lexicographic order, so a row receives its
+     smaller neighbors (as second endpoint, by increasing first) before
+     its larger ones (as first endpoint, by increasing second) *)
   adj
 
-let to_graph s = Graph.make ~n:(Graph.n s.g) (to_list s)
+(* members in id order are already canonical and strictly sorted *)
+let to_graph s =
+  let es = Array.make s.card (0, 0) and i = ref 0 in
+  for id = 0 to Graph.m s.g - 1 do
+    if get_bit s id then begin
+      es.(!i) <- Graph.edge s.g id;
+      incr i
+    end
+  done;
+  Graph.of_canonical ~validate:false ~n:(Graph.n s.g) es
 
 let subset a b =
   if Graph.m a.g <> Graph.m b.g then invalid_arg "Edge_set.subset: different hosts";

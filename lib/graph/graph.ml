@@ -26,56 +26,35 @@ let cmp_edge (u1, v1) (u2, v2) =
 
 (* CSR fill from an owned, canonical ([u < v]), lex-sorted, duplicate-free
    edge array. Shared by the generic [build] path (which sorts and
-   dedups first) and [of_canonical] (whose input is validated to
-   already be in this form, so a binary snapshot load pays no sort). *)
+   dedups first), [of_canonical] (whose input is validated to already
+   be in this form, so a binary snapshot load pays no sort) and
+   [patch]. Lex order makes every row come out sorted with no sort:
+   vertex [w] receives its smaller neighbors first (edges [(u, w)],
+   by increasing [u]), then its larger ones (edges [(w, v)], by
+   increasing [v]). *)
 let fill_csr n edges =
   let m = Array.length edges in
-  let deg = Array.make n 0 in
-  Array.iter
-    (fun (u, v) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    edges;
   let off = Array.make (n + 1) 0 in
+  for id = 0 to m - 1 do
+    let u, v = edges.(id) in
+    off.(u + 1) <- off.(u + 1) + 1;
+    off.(v + 1) <- off.(v + 1) + 1
+  done;
   for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + deg.(u)
+    off.(u + 1) <- off.(u) + off.(u + 1)
   done;
   let nbr = Array.make (2 * m) 0 in
   let nbr_eid = Array.make (2 * m) 0 in
-  let fill = Array.copy off in
-  Array.iteri
-    (fun id (u, v) ->
-      nbr.(fill.(u)) <- v;
-      nbr_eid.(fill.(u)) <- id;
-      fill.(u) <- fill.(u) + 1;
-      nbr.(fill.(v)) <- u;
-      nbr_eid.(fill.(v)) <- id;
-      fill.(v) <- fill.(v) + 1)
-    edges;
-  (* per-vertex ranges must be sorted by neighbor id, carrying the edge
-     ids along; edges arrive lex-sorted so each range is a merge of two
-     already-sorted streams — a plain paired sort keeps it simple *)
-  let idx = Array.make (Array.fold_left max 0 deg) 0 in
-  let tmp_n = Array.make (Array.length idx) 0 in
-  let tmp_e = Array.make (Array.length idx) 0 in
-  for u = 0 to n - 1 do
-    let lo = off.(u) and d = deg.(u) in
-    let sorted = ref true in
-    for i = lo + 1 to lo + d - 1 do
-      if nbr.(i - 1) > nbr.(i) then sorted := false
-    done;
-    if not !sorted then begin
-      let sub = Array.sub idx 0 d in
-      Array.iteri (fun i _ -> sub.(i) <- lo + i) sub;
-      Array.sort (fun a b -> Int.compare nbr.(a) nbr.(b)) sub;
-      Array.iteri
-        (fun i p ->
-          tmp_n.(i) <- nbr.(p);
-          tmp_e.(i) <- nbr_eid.(p))
-        sub;
-      Array.blit tmp_n 0 nbr lo d;
-      Array.blit tmp_e 0 nbr_eid lo d
-    end
+  let fill = Array.sub off 0 (max n 1) in
+  for id = 0 to m - 1 do
+    let u, v = edges.(id) in
+    let i = fill.(u) and j = fill.(v) in
+    nbr.(i) <- v;
+    nbr_eid.(i) <- id;
+    fill.(u) <- i + 1;
+    nbr.(j) <- u;
+    nbr_eid.(j) <- id;
+    fill.(v) <- j + 1
   done;
   { n; off; nbr; nbr_eid; adj = Atomic.make None; edges }
 
@@ -132,6 +111,55 @@ let of_canonical ?(validate = true) ~n edges =
      [~validate:false] skips the check for callers that constructed
      the array themselves (sharded induced sub-graphs, hot loaders). *)
   fill_csr n (Array.copy edges)
+
+(* One merge of the sorted edge array against the two sorted change
+   lists; the edge tuples that survive are shared, not copied. The
+   contract is checked in passing: an out-of-order entry, a removal of
+   an absent edge or an addition of a present one would otherwise
+   produce a graph with duplicate or missing ids. *)
+let patch g ~added ~removed =
+  let bad fmt = Printf.ksprintf invalid_arg ("Graph.patch: " ^^ fmt) in
+  let rec check_sorted = function
+    | a :: (b :: _ as rest) ->
+        if cmp_edge a b >= 0 then bad "changes not strictly sorted at (%d,%d)" (fst b) (snd b);
+        check_sorted rest
+    | _ -> ()
+  in
+  check_sorted added;
+  check_sorted removed;
+  List.iter
+    (fun (u, v) ->
+      if u < 0 || v >= g.n || u >= v then bad "edge (%d,%d) not canonical or out of range" u v)
+    added;
+  let m = Array.length g.edges in
+  let m' = m - List.length removed + List.length added in
+  let edges = Array.make m' (0, 0) in
+  let j = ref 0 in
+  let emit e =
+    edges.(!j) <- e;
+    incr j
+  in
+  let rec merge i added removed =
+    if i < m then begin
+      let e = g.edges.(i) in
+      match (added, removed) with
+      | a :: added', _ when cmp_edge a e < 0 ->
+          emit a;
+          merge i added' removed
+      | a :: _, _ when cmp_edge a e = 0 -> bad "edge (%d,%d) already present" (fst a) (snd a)
+      | _, r :: removed' when cmp_edge r e = 0 -> merge (i + 1) added removed'
+      | _, r :: _ when cmp_edge r e < 0 -> bad "edge (%d,%d) absent" (fst r) (snd r)
+      | _ ->
+          emit e;
+          merge (i + 1) added removed
+    end
+    else begin
+      (match removed with (u, v) :: _ -> bad "edge (%d,%d) absent" u v | [] -> ());
+      List.iter emit added
+    end
+  in
+  merge 0 added removed;
+  fill_csr g.n edges
 
 let n g = g.n
 let m g = Array.length g.edges

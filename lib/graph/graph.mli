@@ -35,6 +35,16 @@ val of_canonical : ?validate:bool -> n:int -> (int * int) array -> t
     the contract check — only for callers that constructed the array
     themselves; feeding it unchecked external input is undefined. *)
 
+val patch : t -> added:(int * int) list -> removed:(int * int) list -> t
+(** [patch g ~added ~removed] is [g] with the edges [removed] deleted
+    and the edges [added] inserted. Both lists must be canonical
+    ([u < v]), strictly lexicographically sorted, every [removed] edge
+    present in [g] and every [added] edge absent — the shape
+    [Rs_dynamic.Delta.effect] returns. One linear merge of the sorted
+    edge array and one CSR fill: no sort, no polymorphic compare.
+    Equal to [make] of the merged edge list, edge ids included. Raises
+    [Invalid_argument] when the contract does not hold. *)
+
 val n : t -> int
 (** Number of vertices. *)
 

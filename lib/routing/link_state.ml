@@ -3,11 +3,13 @@ open Rs_graph
 type t = { g : Graph.t; h : Edge_set.t; h_adj : int array array }
 
 let make g h =
-  if not (Graph.equal (Edge_set.host h) g) then
+  let host = Edge_set.host h in
+  if not (host == g || Graph.equal host g) then
     invalid_arg "Link_state.make: edge set over a different graph";
   { g; h; h_adj = Edge_set.to_adjacency h }
 
 let graph t = t.g
+let adjacency t = t.h_adj
 
 (* BFS from [dst] in H_c (H plus the star of c's real incident edges).
    Returns the distance array. *)

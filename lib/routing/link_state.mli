@@ -18,6 +18,11 @@ val make : Graph.t -> Edge_set.t -> t
 
 val graph : t -> Graph.t
 
+val adjacency : t -> int array array
+(** The advertised sub-graph's sorted adjacency rows
+    ({!Rs_graph.Edge_set.to_adjacency} of [h], built once by {!make}).
+    Owned by the domain; do not mutate. *)
+
 val next_hop : t -> src:int -> dst:int -> int option
 (** The neighbor of [src] closest to [dst] in H_src (smallest id on
     ties); [None] when [dst] is unreachable in H_src. *)

@@ -2,7 +2,6 @@ type 'a t = {
   capacity : int;
   q : 'a Queue.t;
   m : Mutex.t;
-  not_full : Condition.t;
   mutable closed : bool;
 }
 
@@ -14,8 +13,7 @@ let reject_to_string = function
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Bqueue.create: capacity must be >= 1";
-  { capacity; q = Queue.create (); m = Mutex.create ();
-    not_full = Condition.create (); closed = false }
+  { capacity; q = Queue.create (); m = Mutex.create (); closed = false }
 
 let with_lock t f =
   Mutex.lock t.m;
@@ -36,31 +34,10 @@ let push t x =
     Ok ()
   end
 
-(* Block while full; close must wake every waiter with [Closed] — a
-   producer blocked on a queue nobody will drain again cannot be left
-   hanging. [Condition.wait] can wake spuriously, hence the loop. *)
-let push_wait t x =
-  with_lock t @@ fun () ->
-  let rec wait () =
-    if t.closed then Error Closed
-    else if Queue.length t.q < t.capacity then begin
-      Queue.push x t.q;
-      Ok ()
-    end
-    else begin
-      Condition.wait t.not_full t.m;
-      wait ()
-    end
-  in
-  wait ()
-
 let length t = with_lock t @@ fun () -> Queue.length t.q
 let is_closed t = with_lock t @@ fun () -> t.closed
 
-let close t =
-  with_lock t @@ fun () ->
-  t.closed <- true;
-  Condition.broadcast t.not_full
+let close t = with_lock t @@ fun () -> t.closed <- true
 
 let take_upto t max =
   with_lock t @@ fun () ->
@@ -68,9 +45,7 @@ let take_upto t max =
     if k = 0 || Queue.is_empty t.q then List.rev acc
     else go (Queue.pop t.q :: acc) (k - 1)
   in
-  let batch = go [] max in
-  if batch <> [] then Condition.broadcast t.not_full;
-  batch
+  go [] max
 
 (* Timed waiting is a short poll loop rather than a condition variable:
    the stdlib [Condition] has no timed wait, and every consumer needs a

@@ -24,13 +24,6 @@ val reject_to_string : reject -> string
 val push : 'a t -> 'a -> (unit, reject) result
 (** Never blocks and never grows the queue past capacity. *)
 
-val push_wait : 'a t -> 'a -> (unit, reject) result
-(** Block while the queue is full instead of rejecting — the
-    backpressure flavor, for a producer that {e should} stall rather
-    than shed.
-    {!close} wakes every blocked producer with [Error Closed]; this
-    never returns [Error (Full _)]. *)
-
 val pop_batch : 'a t -> max:int -> timeout_s:float -> 'a list
 (** Dequeue up to [max] elements in FIFO order, waiting up to
     [timeout_s] for the first to arrive. Returns [[]] on timeout or

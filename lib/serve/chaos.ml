@@ -219,15 +219,35 @@ let torn_wal_restart ~rand ~specs ~n ~batches ~dir =
 let queue_saturation ~rand ~specs ~n ~batches:_ ~dir:_ =
   let g0 = Gen.random_connected rand n (4.0 /. float_of_int n) in
   let capacity = 4 in
+  (* The breaker's log-and-defer window is where stale reads live: a
+     deferred batch is acknowledged but not yet published. A fast
+     writer can fold that window before any query lands in it, so once
+     the breaker is open and a deferred batch stands, the writer waits
+     here until the harness has caught a stale read and releases it. *)
+  let live = Atomic.make None and release = Atomic.make false in
+  let hook _ _ =
+    Unix.sleepf 0.004;
+    match Atomic.get live with
+    | Some svc ->
+        let s = Service.status svc in
+        if s.Service.s_breaker = "open" && s.Service.s_ingested > s.Service.s_seq then
+          while not (Atomic.get release) do
+            Unix.sleepf 0.002
+          done
+    | None -> ()
+  in
   let cfg =
     { Service.default_config with
       readers = 2; ingest_capacity = capacity; batch_max = 2;
       repair_budget_s = 1e-6 (* every repair is over budget *);
       breaker_trips = 2; open_backlog = 4; watchdog_s = 0.;
-      dirty_radius = Some 0 (* under-estimated locality: the gate trips *);
-      before_apply = Some (fun _ _ -> Unix.sleepf 0.004) }
+      dirty_radius = Some 0 (* under-estimated locality: fringe trees change, the gate trips *);
+      before_apply = Some hook }
   in
   let svc = Service.start cfg (Service.Ephemeral { specs; g = g0 }) in
+  Atomic.set live (Some svc);
+  (* a failing check must not leave the writer parked *)
+  Fun.protect ~finally:(fun () -> Atomic.set release true) @@ fun () ->
   let cl = spawn_clients svc ~seed:(43 * n) ~n ~count:2 in
   let floods = 300 in
   let accepted = ref 0 and rejected = ref 0 in
@@ -242,19 +262,19 @@ let queue_saturation ~rand ~specs ~n ~batches:_ ~dir:_ =
   let depth = (Service.status svc).Service.s_queue in
   if depth > capacity then
     failwith (Printf.sprintf "queue depth %d exceeds capacity %d" depth capacity);
-  (* the breaker's log-and-defer window is where stale reads live:
-     catch one in the act. [Service.idle], not an empty queue plus
-     [ingested = view]: those also hold while the writer holds a popped
-     batch, before that window opens *)
+  (* catch a stale read in the act, offering more deltas so the writer
+     reaches a deferred batch however far it got through the flood *)
   let saw_stale = ref false in
   (try
      wait_until ~timeout:30.0 ~what:"a stale-flagged read" (fun () ->
+         ignore (Service.offer svc (random_delta rand g0));
          let r = Service.query ~deadline_s:2.0 svc Service.Stats in
          (match r.Service.answer with
          | Ok _ -> if r.Service.stale then saw_stale := true
          | Error _ -> ());
-         !saw_stale || Service.idle svc)
+         !saw_stale)
    with Failure _ -> ());
+  Atomic.set release true;
   wait_until ~timeout:60.0 ~what:"drain after the flood" (fun () ->
       (Service.status svc).Service.s_queue = 0
       && Service.ingested_seq svc = Service.view_seq svc);

@@ -83,17 +83,18 @@ let b_append ?dirty_radius ~repair b delta =
   | B_eph e -> (
       if repair && e.e_stale then
         invalid_arg "Service: spanner states are stale (rebuild first)";
-      match Delta.effect e.e_g delta with
-      | [], [] -> []
-      | _ ->
-          e.e_seq <- e.e_seq + 1;
-          e.e_g <- Delta.apply e.e_g delta;
-          if repair then
-            List.map (fun (_, st) -> Repair.apply ?dirty_radius st delta) e.e_states
-          else begin
-            e.e_stale <- true;
-            []
-          end)
+      let change = Delta.change e.e_g delta in
+      if Delta.quiescent change then []
+      else begin
+        e.e_seq <- e.e_seq + 1;
+        e.e_g <- change.Delta.after;
+        if repair then
+          List.map (fun (_, st) -> Repair.apply_change ?dirty_radius st change) e.e_states
+        else begin
+          e.e_stale <- true;
+          []
+        end
+      end)
 
 let b_rebuild = function
   | B_dur s -> Store.rebuild s
@@ -122,8 +123,9 @@ let make_view b =
     b_states b
     |> List.map (fun (spec, st) ->
            let g, sp = Repair.publish st in
-           { sv_spec = spec; sv_spanner = sp; sv_adj = Edge_set.to_adjacency sp;
-             sv_graph = Edge_set.to_graph sp; sv_ls = Link_state.make g sp })
+           let ls = Link_state.make g sp in
+           { sv_spec = spec; sv_spanner = sp; sv_adj = Link_state.adjacency ls;
+             sv_graph = Edge_set.to_graph sp; sv_ls = ls })
     |> Array.of_list
   in
   { v_seq = b_seq b; v_graph = b_graph b; v_strategies = strategies }

@@ -60,21 +60,24 @@ let append ?(repair = true) t delta =
   if t.closed then invalid_arg "Store.append: store is closed";
   if repair && t.states_stale then
     invalid_arg "Store.append: spanner states are stale (rebuild first)";
-  (* validate first — an invalid delta must not reach the log *)
-  match Delta.effect t.g delta with
-  | [], [] -> []
-  | _ ->
-      let seq = Wal.append t.wal delta in
-      t.seq <- seq;
-      t.g <- Delta.apply t.g delta;
-      if repair then List.map (fun (_, st) -> Repair.apply st delta) t.states
-      else begin
-        (* log-and-defer: the WAL and graph advance, the maintained
-           spanners intentionally lag — the circuit-breaker path that
-           trades incremental repair for one batched [rebuild] *)
-        t.states_stale <- true;
-        []
-      end
+  (* validate first — an invalid delta must not reach the log; the
+     resolved change (net effect and patched graph) is shared by every
+     maintained spanner *)
+  let change = Delta.change t.g delta in
+  if Delta.quiescent change then []
+  else begin
+    let seq = Wal.append t.wal delta in
+    t.seq <- seq;
+    t.g <- change.Delta.after;
+    if repair then List.map (fun (_, st) -> Repair.apply_change st change) t.states
+    else begin
+      (* log-and-defer: the WAL and graph advance, the maintained
+         spanners intentionally lag — the circuit-breaker path that
+         trades incremental repair for one batched [rebuild] *)
+      t.states_stale <- true;
+      []
+    end
+  end
 
 let rebuild t =
   if t.closed then invalid_arg "Store.rebuild: store is closed";
@@ -182,12 +185,12 @@ let recover ?(policy = Wal.Always) ?(segment_bytes = 1 lsl 20) ?(verify = false)
       List.iter
         (fun (r : Wal.record) ->
           if not !stop then
-            match Delta.effect !g r.Wal.delta with
-            | _ ->
-                (* [effect] validated every op, so neither apply below
-                   can raise *)
-                List.iter (fun (_, st) -> ignore (Repair.apply st r.Wal.delta)) states;
-                g := Delta.apply !g r.Wal.delta;
+            match Delta.change !g r.Wal.delta with
+            | change ->
+                (* [change] validated every op, so no apply below can
+                   raise *)
+                List.iter (fun (_, st) -> ignore (Repair.apply_change st change)) states;
+                g := change.Delta.after;
                 last := r.Wal.seq;
                 incr replayed;
                 Obs.incr c_replayed

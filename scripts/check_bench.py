@@ -2,6 +2,8 @@
 """Compare a fresh BENCH_hotpath.json run against the committed baseline.
 
 Usage: check_bench.py BASELINE CURRENT [--threshold PCT] [--max-overhead PCT]
+                      [--min-ratio R] [--faster ROW:THAN ...]
+                      [--scaling-exponent KEY:MAX ...] [--exponents-out FILE]
 
 Both files are flat {benchmark name: ns per op} objects written by
 bench/hotpath.exe. Only keys present in BOTH files are compared (the
@@ -28,6 +30,13 @@ store/load-text/<size> twin WITHIN the current run and fails if the
 binary snapshot load is not at least R times faster than the text
 parse: the durable-store fast-path gate (again same-run, so immune
 to cross-host drift).
+
+--faster ROW:THAN (repeatable) fails unless ROW is faster than THAN
+WITHIN the current run: a same-run paired gate for a cost claim that
+is a ratio between two rows, e.g. that repairing a 1%-of-n delta stays
+cheaper than rebuilding the spanner from scratch
+(repair/delta-n100/udg300:build/exact-sharded/udg300). Both rows must
+be present.
 
 --scaling-exponent KEY:MAX (repeatable) collects every row named
 KEY/udg<n> WITHIN the current run, fits the least-squares slope of
@@ -69,6 +78,10 @@ def main():
     ap.add_argument("--min-ratio", type=float, default=None, metavar="R",
                     help="required store/load-text over store/load-snap "
                          "speed ratio, paired within the current run")
+    ap.add_argument("--faster", action="append", default=[],
+                    metavar="ROW:THAN",
+                    help="fail unless ROW is faster than THAN in the "
+                         "current run (repeatable)")
     ap.add_argument("--scaling-exponent", action="append", default=[],
                     metavar="KEY:MAX",
                     help="fit the log-log slope of KEY/udg<n> rows in the "
@@ -154,6 +167,26 @@ def main():
                      f"over the text parser: {names}")
         print(f"snapshot load >= {args.min_ratio:g}x faster than text "
               f"parse for {len(pairs)} pair(s)")
+
+    if args.faster:
+        slow = []
+        for spec in args.faster:
+            row, sep, than = spec.partition(":")
+            if not sep or not row or not than:
+                sys.exit(f"--faster: cannot parse '{spec}' (expected ROW:THAN)")
+            missing = [k for k in (row, than) if k not in cur]
+            if missing:
+                sys.exit(f"--faster: {', '.join(missing)} not in the current run")
+            ratio = cur[row] / cur[than] if cur[than] > 0 else float("inf")
+            flag = "" if ratio < 1.0 else " <-- NOT FASTER"
+            print(f"{row} vs {than}: {cur[row]:.0f} vs {cur[than]:.0f} ns "
+                  f"({ratio:.2f}x){flag}")
+            if ratio >= 1.0:
+                slow.append((row, than, ratio))
+        if slow:
+            names = ", ".join(f"{r} ({x:.2f}x {t})" for r, t, x in slow)
+            sys.exit(f"row(s) not faster than their pair: {names}")
+        print(f"all {len(args.faster)} paired row(s) faster than their pair")
 
     if args.scaling_exponent or args.exponents_out:
         families = {}

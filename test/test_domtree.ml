@@ -64,6 +64,86 @@ let test_checker_depth_bound_matters () =
   check "now ok" true (Dom_tree.is_dominating g ~r:3 ~beta:0 t)
 
 (* ---------------------------------------------------------------- *)
+(* The local certificate over flat pair arrays *)
+
+let certify g strat root pairs =
+  Certificate.check (Certificate.create ()) g strat ~root (Array.of_list pairs)
+
+(* the hand-built trees above, as flat pairs *)
+let test_certificate_hand_built () =
+  let c6 = Gen.cycle 6 and p4 = Gen.path_graph 4 in
+  let gdy r beta = Sharded.Gdy { r; beta } in
+  check "bare root on C6" false (certify c6 (gdy 2 0) 0 []);
+  check "half of C6" false (certify c6 (gdy 2 0) 0 [ 0; 1 ]);
+  check "both sides of C6" true (certify c6 (gdy 2 0) 0 [ 0; 1; 0; 5 ]);
+  check "depth bound on P4" false (certify p4 (gdy 3 0) 0 [ 0; 1 ]);
+  check "deep enough on P4" true (certify p4 (gdy 3 0) 0 [ 0; 1; 1; 2 ]);
+  check "star missing a relay" false (certify c6 (Sharded.Gdy_k { k = 1 }) 0 [ 0; 1 ]);
+  check "star with both relays" true (certify c6 (Sharded.Gdy_k { k = 1 }) 0 [ 0; 1; 0; 5 ]);
+  let k23 = Gen.complete_bipartite 2 3 and k3 = Sharded.Gdy_k { k = 3 } in
+  check "2 of 3 branches for k=3" false (certify k23 k3 0 [ 0; 2; 0; 3 ]);
+  check "all 3 branches" true (certify k23 k3 0 [ 0; 2; 0; 3; 0; 4 ]);
+  check "escape clause" true (certify c6 (Sharded.Gdy_k { k = 2 }) 0 [ 0; 1; 0; 5 ]);
+  let replay g root pairs =
+    Certificate.replay (Certificate.create ()) g ~root (Array.of_list pairs)
+  in
+  let rejected what g root pairs =
+    match replay g root pairs with
+    | Ok () -> Alcotest.failf "%s: replay accepted" what
+    | Error reason -> check (what ^ ": one-line reason") true (not (String.contains reason '\n'))
+  in
+  check "replay accepts a path" true (replay p4 0 [ 0; 1; 1; 2; 2; 3 ] = Ok ());
+  rejected "foreign edge" (Gen.path_graph 5) 0 [ 0; 2 ];
+  rejected "orphan child" p4 0 [ 1; 2 ];
+  rejected "conflicting parents" c6 0 [ 0; 1; 0; 5; 1; 2; 5; 4; 4; 3; 2; 3 ];
+  rejected "re-parented root" c6 0 [ 0; 1; 1; 0 ];
+  check "a foreign edge fails the check too" false (certify (Gen.path_graph 5) (gdy 2 0) 0 [ 0; 2 ])
+
+(* On every tree the batched engine builds, and on truncations of it
+   (a prefix of a parents-first list is still a tree), the certificate
+   agrees with the literal Tree.t checker — of its own family and of
+   every other, which supplies the negative cases. *)
+let test_certificate_agrees_with_literal () =
+  let strategies =
+    [ Sharded.Gdy { r = 2; beta = 0 }; Sharded.Gdy { r = 3; beta = 1 }; Sharded.Mis { r = 3 };
+      Sharded.Gdy_k { k = 1 }; Sharded.Gdy_k { k = 2 }; Sharded.Mis_k { k = 2 } ]
+  in
+  let literal g strat t =
+    match (strat : Sharded.strategy) with
+    | Gdy { r; beta } -> Dom_tree.is_dominating g ~r ~beta t
+    | Mis { r } -> Dom_tree.is_dominating g ~r ~beta:1 t
+    | Gdy_k { k } -> Dom_tree_k.is_k_dominating g ~k ~beta:0 t
+    | Mis_k { k } -> Dom_tree_k.is_k_dominating g ~k ~beta:1 t
+  in
+  let cert = Certificate.create () in
+  let accepted = ref 0 and rejected = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.n g in
+      List.iter
+        (fun built ->
+          Sharded.iter_trees g built (Array.init n Fun.id) (fun root pairs len ->
+              List.iter
+                (fun keep ->
+                  let flat = Array.sub pairs 0 (2 * keep) in
+                  let t = Tree.create ~n ~root in
+                  for i = 0 to keep - 1 do
+                    Tree.add_edge t ~parent:flat.(2 * i) ~child:flat.((2 * i) + 1)
+                  done;
+                  List.iter
+                    (fun strat ->
+                      let verdict = Certificate.check cert g strat ~root flat in
+                      if verdict then incr accepted else incr rejected;
+                      if verdict <> literal g strat t then
+                        Alcotest.failf "%s root %d, %d of %d pairs: %a says %b" name root keep
+                          len Sharded.pp_strategy strat verdict)
+                    strategies)
+                (List.sort_uniq compare [ len; len / 2; max 0 (len - 1) ])))
+        strategies)
+    standard_graphs;
+  check "both verdicts occur" true (!accepted > 0 && !rejected > 0)
+
+(* ---------------------------------------------------------------- *)
 (* Algorithm 1 (greedy) *)
 
 let test_gdy_valid_all_graphs () =
@@ -254,6 +334,10 @@ let () =
           Alcotest.test_case "foreign edges rejected" `Quick test_checker_rejects_foreign_edges;
           Alcotest.test_case "manual cycle6" `Quick test_checker_manual_cycle6;
           Alcotest.test_case "depth bound matters" `Quick test_checker_depth_bound_matters;
+          Alcotest.test_case "local certificate: hand-built trees" `Quick
+            test_certificate_hand_built;
+          Alcotest.test_case "local certificate = literal checkers" `Quick
+            test_certificate_agrees_with_literal;
         ] );
       ( "gdy",
         [

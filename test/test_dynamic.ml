@@ -71,6 +71,117 @@ let test_delta_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The hashtable implementation [Delta.effect]/[apply] had before the
+   overlay, kept as the reference: both edge sets of the whole graph,
+   O(m) per delta, obviously right. *)
+module Reference = struct
+  let check_vertex n v =
+    if v < 0 || v >= n then
+      invalid_arg (Printf.sprintf "Delta: vertex %d out of range [0..%d)" v n)
+
+  let check_edge n u v =
+    check_vertex n u;
+    check_vertex n v;
+    if u = v then invalid_arg (Printf.sprintf "Delta: self-loop at vertex %d" u)
+
+  let encode n u v = if u <= v then (u * n) + v else (v * n) + u
+  let decode n e = (e / n, e mod n)
+
+  let edge_tbl g =
+    let n = Graph.n g in
+    let t = Hashtbl.create (1 + (2 * Graph.m g)) in
+    Graph.iter_edges (fun u v -> Hashtbl.replace t (encode n u v) ()) g;
+    t
+
+  let after_tbl g ops =
+    let n = Graph.n g in
+    let t = edge_tbl g in
+    List.iter
+      (function
+        | Delta.Add_edge (u, v) ->
+            check_edge n u v;
+            Hashtbl.replace t (encode n u v) ()
+        | Delta.Remove_edge (u, v) ->
+            check_edge n u v;
+            Hashtbl.remove t (encode n u v)
+        | Delta.Node_down u ->
+            check_vertex n u;
+            let doomed =
+              Hashtbl.fold
+                (fun e () acc ->
+                  let a, b = decode n e in
+                  if a = u || b = u then e :: acc else acc)
+                t []
+            in
+            List.iter (Hashtbl.remove t) doomed
+        | Delta.Node_up (u, links) ->
+            List.iter
+              (fun v ->
+                check_edge n u v;
+                Hashtbl.replace t (encode n u v) ())
+              links)
+      ops;
+    t
+
+  let only n t t' =
+    Hashtbl.fold (fun e () acc -> if Hashtbl.mem t' e then acc else e :: acc) t []
+    |> List.sort Int.compare |> List.map (decode n)
+
+  let effect g ops =
+    let n = Graph.n g in
+    let before = edge_tbl g and after = after_tbl g ops in
+    (only n after before, only n before after)
+
+  let apply g ops =
+    let n = Graph.n g in
+    let added, removed = effect g ops in
+    if added = [] && removed = [] then g
+    else Graph.make ~n (only n (after_tbl g ops) (Hashtbl.create 1))
+end
+
+(* Ops drawn to collide: a small vertex range (out-of-range and
+   self-loop ops included, rarely), edges of the graph as well as
+   non-edges, and the patterns a batch can cancel itself with. *)
+let colliding_delta rand g =
+  let n = Graph.n g in
+  let vertex () = if Rand.int rand 25 = 0 then n + Rand.int rand 3 else Rand.int rand n in
+  let edge () =
+    if Graph.m g > 0 && Rand.int rand 2 = 0 then (Graph.edges g).(Rand.int rand (Graph.m g))
+    else (vertex (), vertex ())
+  in
+  let chunk () =
+    match Rand.int rand 7 with
+    | 0 -> [ (let u, v = edge () in Delta.Add_edge (u, v)) ]
+    | 1 -> [ (let u, v = edge () in Delta.Remove_edge (u, v)) ]
+    | 2 -> [ Delta.Node_down (vertex ()) ]
+    | 3 -> [ Delta.Node_up (vertex (), List.init (Rand.int rand 4) (fun _ -> vertex ())) ]
+    | 4 ->
+        let u, v = edge () in
+        [ Delta.Add_edge (u, v); Delta.Remove_edge (v, u) ]
+    | 5 ->
+        let u, v = edge () in
+        [ Delta.Remove_edge (u, v); Delta.Add_edge (v, u) ]
+    | _ ->
+        let u = Rand.int rand n in
+        [ Delta.Node_down u; Delta.Node_up (u, Array.to_list (Graph.neighbors g u)) ]
+  in
+  List.concat (List.init (1 + Rand.int rand 4) (fun _ -> chunk ()))
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let prop_overlay_effect_matches_reference seed =
+  let rand = Rand.create seed in
+  let n = 2 + Rand.int rand 9 in
+  let g = Gen.erdos_renyi rand n (Rand.float rand 0.7) in
+  let d = colliding_delta rand g in
+  let fresh = outcome (fun () -> Delta.effect g d) in
+  fresh = outcome (fun () -> Reference.effect g d)
+  &&
+  match (outcome (fun () -> Delta.apply g d), outcome (fun () -> Reference.apply g d)) with
+  | Ok g1, Ok g2 -> Graph.equal g1 g2 && (g1 == g) = (g2 == g)
+  | Error m1, Error m2 -> m1 = m2
+  | _ -> false
+
 (* ---------------------------------------------------------------- *)
 (* Repair: equivalence with from-scratch builds *)
 
@@ -211,6 +322,39 @@ let test_escalation_ladder () =
   check "full equivalent" true
     (Repair.pairs st = pairs_of_set (Repair.build spec (Repair.graph st)))
 
+(* An under-estimated radius leaves fringe roots whose trees the
+   delta changed: gate (b) compares each with its recomputation, so the
+   apply escalates instead of publishing a valid but different union
+   (the earlier validity-only gate let these through as [Local]). *)
+let test_underestimate_ends_equal_to_build () =
+  let spec = Repair.Gdy { r = 3; beta = 1 } in
+  List.iter
+    (fun seed ->
+      let g = udg ~seed ~n:200 ~density:4.0 in
+      let st = Repair.init spec g in
+      let rand = Rand.create (seed * 31) in
+      let escalations = ref 0 in
+      for i = 1 to 6 do
+        let g = Repair.graph st in
+        let u, v = (Graph.edges g).(Rand.int rand (Graph.m g)) in
+        let o = Repair.apply ~dirty_radius:1 st [ Delta.Remove_edge (u, v) ] in
+        escalations := !escalations + o.Repair.escalations;
+        check
+          (Printf.sprintf "seed %d, removal %d: equal to Repair.build" seed i)
+          true
+          (Repair.pairs st = pairs_of_set (Repair.build spec (Repair.graph st)))
+      done;
+      check (Printf.sprintf "seed %d: the fringe gate fired" seed) true (!escalations > 0))
+    [ 1; 3 ]
+
+let test_apply_change_foreign_graph () =
+  let g = udg ~seed:21 ~n:60 ~density:4.0 in
+  let st = Repair.init (Repair.Gdy_k { k = 1 }) g in
+  let other = Delta.apply g [ Delta.Node_down 0 ] in
+  let c = Delta.change other [ Delta.Node_down 1 ] in
+  check "a change resolved against another graph is refused" true
+    (match Repair.apply_change st c with exception Invalid_argument _ -> true | _ -> false)
+
 let test_incremental_target () =
   let g = udg ~seed:37 ~n:40 ~density:4.0 in
   let spec = Repair.Gdy_k { k = 1 } in
@@ -269,6 +413,47 @@ let prop_incremental_equivalence seed =
     let h = Repair.spanner st in
     ignore (Repair.apply st []);
     if Repair.spanner st != h then ok := false
+  done;
+  !ok
+
+(* The locality radii are tight: with [Repair.radius] itself (no
+   [?dirty_radius]), every apply stays [Local] and leaves every root's
+   stored tree equal to a fresh [init]'s — per root, not just the
+   union — for every family, the beta = 0 greedy trees (radius r - 1)
+   included. Node-up links are drawn from the 3-ball so deltas close
+   short cycles inside the balls the radii reason about. *)
+let prop_tight_radius_per_root seed =
+  let specs =
+    [ Repair.Gdy { r = 2; beta = 0 }; Repair.Gdy { r = 3; beta = 0 };
+      Repair.Gdy { r = 4; beta = 0 }; Repair.Gdy { r = 3; beta = 1 };
+      Repair.Gdy { r = 3; beta = 2 }; Repair.Mis { r = 2 }; Repair.Mis { r = 3 };
+      Repair.Gdy_k { k = 1 }; Repair.Gdy_k { k = 3 }; Repair.Mis_k { k = 1 };
+      Repair.Mis_k { k = 2 } ]
+  in
+  let rand = Rand.create seed in
+  let g = udg ~seed:(seed + 3) ~n:(10 + Rand.int rand 40) ~density:(2.5 +. Rand.float rand 4.0) in
+  let spec = List.nth specs (Rand.int rand (List.length specs)) in
+  let st = Repair.init spec g in
+  let op g =
+    let n = Graph.n g in
+    match Rand.int rand 4 with
+    | 0 when Graph.m g > 0 ->
+        let u, v = (Graph.edges g).(Rand.int rand (Graph.m g)) in
+        Delta.Remove_edge (u, v)
+    | 1 -> Delta.Node_down (Rand.int rand n)
+    | _ ->
+        let u = Rand.int rand n in
+        let near = Bfs.ball g u 3 in
+        let v = near.(Rand.int rand (Array.length near)) in
+        if v = u then Delta.Node_down u else Delta.Add_edge (u, v)
+  in
+  let ok = ref true in
+  for _ = 1 to 5 do
+    let g = Repair.graph st in
+    let o = Repair.apply st (List.init (1 + Rand.int rand 3) (fun _ -> op g)) in
+    if o.Repair.level <> Repair.Local then ok := false;
+    if Repair.export_trees st <> Repair.export_trees (Repair.init spec (Repair.graph st)) then
+      ok := false
   done;
   !ok
 
@@ -377,12 +562,20 @@ let () =
           Alcotest.test_case "overlapping dirty balls" `Quick test_repair_overlapping_dirty_balls;
           Alcotest.test_case "all specs" `Quick test_repair_all_specs;
           Alcotest.test_case "escalation ladder" `Quick test_escalation_ladder;
+          Alcotest.test_case "under-estimated radius ends equal to build" `Quick
+            test_underestimate_ends_equal_to_build;
+          Alcotest.test_case "apply_change refuses a foreign change" `Quick
+            test_apply_change_foreign_graph;
           Alcotest.test_case "incremental target" `Quick test_incremental_target;
           Alcotest.test_case "check oracle" `Quick test_check_oracle;
         ] );
       ( "properties",
         [
           make_prop "incremental repair = from-scratch" prop_incremental_equivalence;
+          make_prop ~count:300 "tight radius: repaired trees = fresh init, per root"
+            prop_tight_radius_per_root;
+          make_prop ~count:500 "overlay effect/apply = hashtable reference"
+            prop_overlay_effect_matches_reference;
           prop_parse_print_roundtrip;
         ] );
       ( "acceptance",

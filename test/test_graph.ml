@@ -375,6 +375,51 @@ let test_rand_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
+(* [patch] is [make] of the merged list: same edge array, same CSR,
+   same ids — over random removal/addition subsets of random graphs,
+   the empty patch included — and it rejects every broken contract *)
+let test_patch_equals_make () =
+  let rand = Rand.create 77 in
+  for trial = 0 to 59 do
+    let n = 2 + Rand.int rand 14 in
+    let g = Gen.erdos_renyi rand n (Rand.float rand 0.6) in
+    let removed = List.filter (fun _ -> Rand.int rand 3 = 0) (Array.to_list (Graph.edges g)) in
+    let added = ref [] in
+    for u = n - 1 downto 0 do
+      for v = n - 1 downto u + 1 do
+        if (not (Graph.mem_edge g u v)) && Rand.int rand 4 = 0 then added := (u, v) :: !added
+      done
+    done;
+    let added = !added in
+    let p = Graph.patch g ~added ~removed in
+    let kept = List.filter (fun e -> not (List.mem e removed)) (Array.to_list (Graph.edges g)) in
+    let r = Graph.make ~n (kept @ added) in
+    let name what = Printf.sprintf "trial %d: %s" trial what in
+    check (name "edges") true (Graph.edges p = Graph.edges r);
+    check (name "csr") true (Graph.csr p = Graph.csr r);
+    Graph.iter_edges
+      (fun u v ->
+        check_int (name "edge id") (Graph.edge_id r u v) (Graph.edge_id p u v);
+        check_int (name "edge id (reversed)") (Graph.edge_id r v u) (Graph.edge_id p v u))
+      r;
+    for u = 0 to n - 1 do
+      check (name "neighbors") true (Graph.neighbors p u = Graph.neighbors r u)
+    done
+  done;
+  let rejects what ~added ~removed =
+    check what true
+      (match Graph.patch p5 ~added ~removed with
+      | exception Invalid_argument _ -> true
+      | _ -> false)
+  in
+  rejects "removing an absent edge" ~added:[] ~removed:[ (0, 2) ];
+  rejects "adding a present edge" ~added:[ (1, 2) ] ~removed:[];
+  rejects "unsorted additions" ~added:[ (1, 3); (0, 4) ] ~removed:[];
+  rejects "unsorted removals" ~added:[] ~removed:[ (2, 3); (0, 1) ];
+  rejects "non-canonical addition" ~added:[ (3, 0) ] ~removed:[];
+  rejects "out-of-range addition" ~added:[ (0, 5) ] ~removed:[];
+  rejects "add and remove one edge" ~added:[ (0, 2) ] ~removed:[ (0, 2) ]
+
 let () =
   Alcotest.run "graph"
     [
@@ -391,6 +436,7 @@ let () =
           Alcotest.test_case "induced subgraph" `Quick test_induced;
           Alcotest.test_case "remove vertex" `Quick test_remove_vertex;
           Alcotest.test_case "union edges" `Quick test_union_edges;
+          Alcotest.test_case "patch = make of the merged list" `Quick test_patch_equals_make;
           Alcotest.test_case "equality" `Quick test_equal;
         ] );
       ( "edge_set",

@@ -1,13 +1,12 @@
 (* Tests for the TCP transport and replication layer: frame framing
-   against corruption, clean/dirty close and mid-frame deadlines, the
-   blocking bounded queue under close, snapshot forward-compatibility
+   against corruption, clean/dirty close and mid-frame deadlines,
+   snapshot forward-compatibility
    (unknown section kinds), a WAL sequence gap exactly on a
    segment-rotation boundary, the listener's limits (hundreds of
    sessions, a full fd table, descriptors past 1024), and the seeded
    network chaos harness as acceptance. *)
 open Rs_graph
 module Delta = Rs_dynamic.Delta
-module Bqueue = Rs_serve.Bqueue
 module Wal = Rs_store.Wal
 module Snapshot = Rs_store.Snapshot
 module Binio = Rs_store.Binio
@@ -121,57 +120,6 @@ let test_frame_deadline_mid_frame () =
   | Ok _ -> Alcotest.fail "half a header returned a frame");
   Unix.close a;
   Unix.close b
-
-(* {1 Bqueue: close while producers are blocked} *)
-
-let test_bqueue_close_wakes_blocked () =
-  let q = Bqueue.create ~capacity:1 in
-  (match Bqueue.push q 0 with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "first push into an empty queue rejected");
-  let results = Array.make 3 None in
-  let doms =
-    Array.init 3 (fun i ->
-        Domain.spawn (fun () -> results.(i) <- Some (Bqueue.push_wait q (i + 1))))
-  in
-  (* give every producer time to block on the full queue *)
-  Unix.sleepf 0.1;
-  check_int "queue stayed bounded" 1 (Bqueue.length q);
-  Bqueue.close q;
-  Array.iter Domain.join doms;
-  Array.iter
-    (fun r ->
-      match r with
-      | Some (Error Bqueue.Closed) -> ()
-      | Some (Ok ()) -> Alcotest.fail "a blocked push slipped past close"
-      | Some (Error (Bqueue.Full _)) -> Alcotest.fail "push_wait returned Full"
-      | None -> Alcotest.fail "a blocked producer never returned")
-    results;
-  (* drain after close: what was accepted before close is poppable *)
-  (match Bqueue.pop_batch q ~max:10 ~timeout_s:0.2 with
-  | [ 0 ] -> ()
-  | other -> Alcotest.failf "drained %d elements, expected [0]" (List.length other));
-  check "drained" true (Bqueue.pop_batch q ~max:10 ~timeout_s:0.05 = []);
-  check "closed" true (Bqueue.is_closed q);
-  (match Bqueue.push_wait q 9 with
-  | Error Bqueue.Closed -> ()
-  | _ -> Alcotest.fail "push_wait after close must return Closed without blocking")
-
-let test_bqueue_push_wait_unblocks () =
-  let q = Bqueue.create ~capacity:1 in
-  (match Bqueue.push q 1 with Ok () -> () | Error _ -> Alcotest.fail "push");
-  let d = Domain.spawn (fun () -> Bqueue.push_wait q 2) in
-  Unix.sleepf 0.05;
-  check_int "producer is blocked, not rejected" 1 (Bqueue.length q);
-  (match Bqueue.pop_batch q ~max:1 ~timeout_s:0.5 with
-  | [ 1 ] -> ()
-  | _ -> Alcotest.fail "pop");
-  (match Domain.join d with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "push_wait must succeed once room frees");
-  match Bqueue.pop_batch q ~max:1 ~timeout_s:0.5 with
-  | [ 2 ] -> ()
-  | _ -> Alcotest.fail "the unblocked push's element is missing"
 
 (* {1 Snapshot forward compatibility} *)
 
@@ -411,11 +359,6 @@ let () =
          Alcotest.test_case "timeout" `Quick test_frame_timeout;
          Alcotest.test_case "deadline mid-frame is corrupt" `Quick
            test_frame_deadline_mid_frame ]);
-      ("bqueue",
-       [ Alcotest.test_case "close wakes blocked producers" `Quick
-           test_bqueue_close_wakes_blocked;
-         Alcotest.test_case "push_wait unblocks on room" `Quick
-           test_bqueue_push_wait_unblocks ]);
       ("snapshot",
        [ Alcotest.test_case "unknown section loads" `Quick
            test_snapshot_unknown_section_loads;
