@@ -484,7 +484,7 @@ let e11_domtree_ratio () =
         (fun u ->
           match Dom_tree.optimal_size_star g u with
           | Some opt when opt > 0 ->
-              let got = Tree.edge_count (Dom_tree.gdy g ~r:2 ~beta:0 u) in
+              let got = Array.length (Dom_tree.gdy g ~r:2 ~beta:0 u) / 2 in
               greedy_sizes := got :: !greedy_sizes;
               opt_sizes := opt :: !opt_sizes;
               worst := Float.max !worst (float_of_int got /. float_of_int opt)
@@ -509,7 +509,7 @@ let e12_mis_sizes () =
   List.iter
     (fun r ->
       let sizes =
-        Graph.fold_vertices (fun acc u -> Tree.edge_count (Dom_tree.mis g ~r u) :: acc) [] g
+        Graph.fold_vertices (fun acc u -> (Array.length (Dom_tree.mis g ~r u) / 2) :: acc) [] g
       in
       let bound = 16 * r * r * r in
       print_row cols
@@ -524,7 +524,9 @@ let e12_mis_sizes () =
   List.iter
     (fun k ->
       let sizes =
-        Graph.fold_vertices (fun acc u -> Tree.edge_count (Dom_tree_k.mis_k g ~k u) :: acc) [] g
+        Graph.fold_vertices
+          (fun acc u -> (Array.length (Dom_tree_k.mis_k g ~k u) / 2) :: acc)
+          [] g
       in
       let mx = max_int_list sizes in
       print_row cols [ string_of_int k; string_of_int mx; Printf.sprintf "%.1f" (mean_int sizes) ];

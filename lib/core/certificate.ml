@@ -88,14 +88,14 @@ let exists_neighbor g v f =
   let rec go i = i < off.(v + 1) && (f nbr.(i) || go (i + 1)) in
   go off.(v)
 
-(* Dom_tree.is_dominating: every v with 2 <= d(u, v) <= r has a tree
+(* (r, beta)-dominating: every v with 2 <= d(u, v) <= r has a tree
    neighbor x with d_T(u, x) <= d(u, v) - 1 + beta. *)
 let dominating t g ~root ~r ~beta =
   Bfs.Scratch.run ~radius:r t.bfs g root;
   all_far t (fun v d ->
       exists_neighbor g v (fun x -> mem t x && t.depth.(x) <= d - 1 + beta))
 
-(* Dom_tree_k.is_k_dominating: every v at distance 2 has k tree
+(* k-connecting (2, beta)-dominating: every v at distance 2 has k tree
    neighbors within depth 1 + beta under distinct root children, or
    every common neighbor of root and v is a child of the root. *)
 let k_dominating t g ~root ~k ~beta =

@@ -1,21 +1,22 @@
 (** The paper's local certificate, applied to one tree at the cost of
-    its root's ball.
+    its root's ball: the library's one checker of the dominating-tree
+    definitions.
 
     Props. 1, 4 and 5 say a union of valid dominating trees {e is} a
     remote-spanner of the matching guarantee. So a maintained spanner
     is certified by checking each tree against the definition of its
-    family ({!Dom_tree.is_dominating}, {!Dom_tree_k.is_k_dominating}),
-    which only reads the root's bounded ball — no global distance
-    oracle.
+    family — (r, beta)-dominating ({!Dom_tree}) or k-connecting
+    (2, beta)-dominating ({!Dom_tree_k}) — which only reads the root's
+    bounded ball: no global distance oracle.
 
-    Trees are given in the flat form the batched engine emits and
-    [Rs_dynamic.Repair] stores: [pairs.(2i), pairs.(2i+1)] is the
+    Trees are given in the library's one tree form, the flat pairs
+    every construction returns ({!Dom_tree.gdy}, {!Sharded.iter_trees})
+    and [Rs_dynamic.Repair] stores: [pairs.(2i), pairs.(2i+1)] is the
     [i]-th [(parent, child)] edge, every parent being the root or an
     earlier child. Membership, depth and first hop live in
     generation-stamped arrays, and the domination scan runs over a
     radius-bounded {!Rs_graph.Bfs.Scratch} traversal, so one check
-    costs O(tree + ball), not the O(n) of a [Tree.t] plus a full
-    distance array. *)
+    costs O(tree + ball), not O(n). *)
 
 open Rs_graph
 
@@ -35,5 +36,6 @@ val check : t -> Graph.t -> Sharded.strategy -> root:int -> int array -> bool
 (** {!replay}, then the domination condition of the strategy's family:
     [Gdy {r; beta}] and [Mis {r}] (beta 1) are checked as
     (r, beta)-dominating trees, [Gdy_k {k}] and [Mis_k {k}] as
-    k-connecting (2, 0)- and (2, 1)-dominating trees. Agrees with the
-    literal [Tree.t] checkers on every tree. *)
+    k-connecting (2, 0)- and (2, 1)-dominating trees. The tests hold
+    it to a literal reference copy of both definitions on every tree
+    the constructions build and on truncations of them. *)

@@ -6,27 +6,6 @@ let c_trees = Obs.counter "domtree/trees_built"
 let c_layers = Obs.counter "domtree/layers"
 let h_candidates = Obs.histogram "domtree/candidate_set"
 
-let is_dominating g ~r ~beta t =
-  let u = Tree.root t in
-  Tree.edges_in g t
-  && begin
-       let dist = Bfs.dist ~radius:r g u in
-       let ok = ref true in
-       Graph.iter_vertices
-         (fun v ->
-           let r' = dist.(v) in
-           if r' >= 2 && r' <= r then begin
-             let dominated =
-               Array.exists
-                 (fun x -> Tree.mem t x && Tree.depth t x <= r' - 1 + beta)
-                 (Graph.neighbors g v)
-             in
-             if not dominated then ok := false
-           end)
-         g;
-       !ok
-     end
-
 (* Sphere/annulus covering instance for one layer: elements are the
    sphere nodes, sets are the balls B(x, 1) for annulus candidates x.
    [B(x,1)] includes x itself, which matters when beta >= 1 and x lies
@@ -73,13 +52,12 @@ let levels_of s ~max_dist =
 
 (* Edge-emitting core of Algorithm 1: everything after the traversal,
    abstracted over how tree membership is stored ([mem]/[add], where
-   [add p c] records edge (p, c) and makes [c] a member). The Tree.t
-   wrapper below instantiates it with a real [Tree.t]; the batched
-   builder ([Sharded]) uses stamped membership arrays and int edge
-   accumulators, skipping the O(n) [Tree.create] that dominates at
-   n >= 10^5. [levels] is the explored ball grouped by BFS level
-   (levels 0..r+beta, each id-sorted); [parent_of] the canonical BFS
-   parent within the ball. *)
+   [add p c] records edge (p, c) and makes [c] a member). The per-root
+   wrapper below instantiates it with the scratch's stamped tree set;
+   the batched builder ([Sharded]) with its per-domain stamped arrays.
+   [levels] is the explored ball grouped by BFS level (levels
+   0..r+beta, each id-sorted); [parent_of] the canonical BFS parent
+   within the ball. *)
 let gdy_emit g ~r ~beta ~levels ~parent_of ~mem ~add =
   Obs.incr c_trees;
   let rec graft v =
@@ -138,18 +116,29 @@ let gdy_emit g ~r ~beta ~levels ~parent_of ~mem ~add =
     assert (!ncov = Array.length sphere)
   done
 
+(* Runs an emit core for [root] against the scratch's stamped tree set
+   and returns its pairs flat, in emission order. Allocates only the
+   tree-sized result. *)
+let collect s root emit =
+  let tree = Bfs.Scratch.tree s in
+  Bfs.Marks.clear tree;
+  Bfs.Marks.set tree root;
+  let acc = ref [] and len = ref 0 in
+  emit ~mem:(Bfs.Marks.mem tree) ~add:(fun p c ->
+      Bfs.Marks.set tree c;
+      acc := c :: p :: !acc;
+      len := !len + 2);
+  let pairs = Array.make !len 0 in
+  List.iteri (fun i x -> pairs.(!len - 1 - i) <- x) !acc;
+  pairs
+
 let gdy ?scratch g ~r ~beta u =
   if r < 1 || beta < 0 then invalid_arg "Dom_tree.gdy: need r >= 1, beta >= 0";
   let s = scratch_or scratch in
   (* one traversal yields both distances and canonical parents *)
   Bfs.Scratch.run ~radius:(r + beta) s g u;
   let levels = levels_of s ~max_dist:(r + beta) in
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
-  gdy_emit g ~r ~beta ~levels
-    ~parent_of:(Bfs.Scratch.parent s)
-    ~mem:(Tree.mem t)
-    ~add:(fun p c -> Tree.add_edge t ~parent:p ~child:c);
-  t
+  collect s u (gdy_emit g ~r ~beta ~levels ~parent_of:(Bfs.Scratch.parent s))
 
 (* Edge-emitting core of Algorithm 2; [mem]/[add] as in {!gdy_emit},
    [dead_mem]/[dead_add] the MIS "removed" set. [levels] as in
@@ -180,16 +169,11 @@ let mis ?scratch g ~r u =
   let s = scratch_or scratch in
   Bfs.Scratch.run ~radius:r s g u;
   let levels = levels_of s ~max_dist:r in
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
   let dead = Bfs.Scratch.marks s in
   Bfs.Marks.clear dead;
-  mis_emit g ~r ~levels
-    ~parent_of:(Bfs.Scratch.parent s)
-    ~mem:(Tree.mem t)
-    ~add:(fun p c -> Tree.add_edge t ~parent:p ~child:c)
-    ~dead_mem:(Bfs.Marks.mem dead)
-    ~dead_add:(Bfs.Marks.set dead);
-  t
+  collect s u (fun ~mem ~add ->
+      mis_emit g ~r ~levels ~parent_of:(Bfs.Scratch.parent s) ~mem ~add
+        ~dead_mem:(Bfs.Marks.mem dead) ~dead_add:(Bfs.Marks.set dead))
 
 let optimal_size_star ?limit g u =
   let dist = Bfs.dist ~radius:2 g u in

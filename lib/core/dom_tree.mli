@@ -12,15 +12,16 @@
       optimal dominating tree (Proposition 2);
     - {!mis}: Algorithm 2 (DomTreeMIS), greedy maximal independent set
       by increasing distance — [O(r^(p+1))] edges on unit ball graphs
-      of doubling dimension [p] (Proposition 3); only for [beta = 1]. *)
+      of doubling dimension [p] (Proposition 3); only for [beta = 1].
+
+    Trees are flat pair arrays, the one tree form of the library:
+    [pairs.(2i), pairs.(2i+1)] is the [i]-th [(parent, child)] edge in
+    emission order, and every parent is the root or an earlier child.
+    {!Certificate.check} is the checker of the definition above. *)
 
 open Rs_graph
 
-val is_dominating : Graph.t -> r:int -> beta:int -> Tree.t -> bool
-(** Literal check of the definition above, plus that the tree's edges
-    belong to the graph and its root paths are genuine. *)
-
-val gdy : ?scratch:Bfs.Scratch.t -> Graph.t -> r:int -> beta:int -> int -> Tree.t
+val gdy : ?scratch:Bfs.Scratch.t -> Graph.t -> r:int -> beta:int -> int -> int array
 (** [gdy g ~r ~beta u]: Algorithm 1. For each layer [r' = 2..r] it
     covers the sphere S = {v : d(u,v) = r'} greedily with balls
     [B(x,1)] for x in the annulus [r'-1 <= d(u,x) <= r'-1+beta],
@@ -30,10 +31,13 @@ val gdy : ?scratch:Bfs.Scratch.t -> Graph.t -> r:int -> beta:int -> int -> Tree.
     One combined BFS supplies distances and parents; the cover is a
     lazy greedy ({!Rs_setcover.Setcover.greedy}). Pass [~scratch] to
     reuse traversal state across many roots — per-tree work is then
-    proportional to the explored ball, not to [n]. The scratch must
-    not be shared between domains. *)
+    proportional to the explored ball, not to [n]: membership lives in
+    the scratch's stamped {!Bfs.Scratch.tree} set and only the
+    tree-sized result is allocated. The scratch must not be shared
+    between domains. The pairs are exactly those {!Sharded.iter_trees}
+    hands over for [u], in the same order. *)
 
-val mis : ?scratch:Bfs.Scratch.t -> Graph.t -> r:int -> int -> Tree.t
+val mis : ?scratch:Bfs.Scratch.t -> Graph.t -> r:int -> int -> int array
 (** [mis g ~r u]: Algorithm 2 (beta fixed to 1). Greedily selects a
     maximal independent set of [B(u,r) \ B(u,1)] by increasing
     distance from [u] (ties by id) and grafts shortest paths.
@@ -42,15 +46,20 @@ val mis : ?scratch:Bfs.Scratch.t -> Graph.t -> r:int -> int -> Tree.t
 (** {2 Edge-emitting cores}
 
     Everything after the root's traversal, abstracted over edge and
-    membership storage so the batched builder ([Rs_core.Sharded]) can
-    run them against stamped arrays and int edge accumulators instead
-    of an O(n) [Tree.t] per root. [levels] is the explored ball
+    membership storage so the per-root wrappers above and the batched
+    builder ([Rs_core.Sharded]) run the same code against their own
+    stamped sets and edge accumulators. [levels] is the explored ball
     grouped by BFS level (index = distance, each level sorted by id —
     what {!Bfs.Scratch} and [Msbfs] both produce); [parent_of] maps a
     non-root ball vertex to its canonical BFS parent; [add p c]
     records tree edge (p, c) and must make [c] a member of [mem].
-    Initially exactly the root is a member. Emitted edges and every
-    [Rs_obs] metric are identical to the [Tree.t] wrappers above. *)
+    Initially exactly the root is a member. *)
+
+val collect :
+  Bfs.Scratch.t -> int -> (mem:(int -> bool) -> add:(int -> int -> unit) -> unit) -> int array
+(** [collect s root emit] runs an emit core for [root] with
+    membership in [s]'s {!Bfs.Scratch.tree} set and returns the
+    emitted pairs flat — the last step of every per-root wrapper. *)
 
 val gdy_emit :
   Graph.t ->

@@ -6,43 +6,6 @@ let c_trees = Obs.counter "domtree/trees_built"
 let c_relays = Obs.counter "domtree_k/relays"
 let h_sphere = Obs.histogram "domtree_k/sphere_size"
 
-let disjoint_branch_count g t ~beta v =
-  let u = Tree.root t in
-  let hops = Hashtbl.create 8 in
-  Array.iter
-    (fun x ->
-      if x <> u && Tree.mem t x && Tree.depth t x <= 1 + beta then
-        Hashtbl.replace hops (Tree.first_hop t x) ())
-    (Graph.neighbors g v);
-  Hashtbl.length hops
-
-let common_neighbors g u v =
-  Array.to_list (Graph.neighbors g v) |> List.filter (fun w -> Graph.mem_edge g u w)
-
-let is_k_dominating g ~k ~beta t =
-  let u = Tree.root t in
-  Tree.edges_in g t
-  && begin
-       let dist = Bfs.dist ~radius:2 g u in
-       let ok = ref true in
-       Graph.iter_vertices
-         (fun v ->
-           if dist.(v) = 2 then begin
-             let covered =
-               disjoint_branch_count g t ~beta v >= k
-               || List.for_all
-                    (fun w -> Tree.mem t w && Tree.parent t w = u)
-                    (common_neighbors g u v)
-             in
-             if not covered then ok := false
-           end)
-         g;
-       !ok
-     end
-
-(* Removal rule shared by both algorithms, instantiated with the
-   "already fully used" predicate and the disjointness requirement. *)
-
 let scratch_or = function Some s -> s | None -> Bfs.Scratch.create ()
 
 (* The 2-sphere of the last scratch run, ascending id (the order the
@@ -59,9 +22,9 @@ let sphere2_of s =
 
 (* Edge-emitting core: everything after the radius-2 traversal,
    abstracted over edge storage ([add u relay] — every emitted edge is
-   a star edge at the root). The Tree.t wrapper instantiates it with a
-   real [Tree.t]; the batched builder ([Sharded]) feeds int edge
-   accumulators. [sphere] is the 2-sphere of [u], ascending id. *)
+   a star edge at the root). The per-root wrapper collects the pairs;
+   the batched builder ([Sharded]) feeds its int edge accumulators.
+   [sphere] is the 2-sphere of [u], ascending id. *)
 let gdy_k_emit g ~k ~sphere u ~add =
   Obs.incr c_trees;
   if Obs.enabled () then Obs.observe h_sphere (float_of_int (Array.length sphere));
@@ -101,33 +64,32 @@ let gdy_k ?scratch g ~k u =
   if k < 1 then invalid_arg "Dom_tree_k.gdy_k: k < 1";
   let s = scratch_or scratch in
   Bfs.Scratch.run ~radius:2 s g u;
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
   let sphere = sphere2_of s in
-  gdy_k_emit g ~k ~sphere u ~add:(fun p c -> Tree.add_edge t ~parent:p ~child:c);
-  t
+  Dom_tree.collect s u (fun ~mem:_ ~add -> gdy_k_emit g ~k ~sphere u ~add)
 
-(* Edge-emitting core of Algorithm 5, over the CSR like {!gdy_k_emit}.
-   A mis_k tree has depth <= 2 (root, relays, attached sphere nodes),
-   so the tree-parent relation alone (-1 off the tree; a stamped array
-   in the batched builder) gives membership and first hops: a relay is
-   its own first hop, a sphere node's is its parent. The 2-sphere sets S and X
-   are flags over [sphere] positions; [sphere] is id-sorted, so the
-   smallest-id pick is the first live position. *)
-let mis_k_emit g ~k ~sphere ~parent u ~add =
+(* Edge-emitting core of Algorithm 5, over the CSR like {!gdy_k_emit},
+   with membership [mem]/[add] as in {!Dom_tree.gdy_emit}. A mis_k tree
+   has depth <= 2: the relays are root children and each is its own
+   first hop; the other members are sphere nodes, attached under a
+   relay that is their first hop, kept in [hop] over sphere positions.
+   The 2-sphere sets S and X are flags over [sphere] positions too;
+   [sphere] is id-sorted, so the smallest-id pick is the first live
+   position. *)
+let mis_k_emit g ~k ~sphere u ~mem ~add =
   Obs.incr c_trees;
   let ns = Array.length sphere in
   if Obs.enabled () then Obs.observe h_sphere (float_of_int ns);
   let elt_of = Hashtbl.create ns in
   Array.iteri (fun i v -> Hashtbl.replace elt_of v i) sphere;
-  let mem v = parent v >= 0 in
+  let hop = Array.make ns 0 in
   let common w = Graph.mem_edge g u w in
   let dominated v =
     let all_in = ref true and hops = ref [] and nhops = ref 0 in
     Graph.iter_neighbors g v (fun x ->
-        if common x && not (mem x) then all_in := false;
+        let c = common x in
+        if c && not (mem x) then all_in := false;
         if x <> u && mem x then begin
-          let p = parent x in
-          let h = if p = u then x else p in
+          let h = if c then x else hop.(Hashtbl.find elt_of x) in
           if not (List.mem h !hops) then begin
             hops := h :: !hops;
             incr nhops
@@ -159,7 +121,10 @@ let mis_k_emit g ~k ~sphere ~parent u ~add =
       (match List.rev !fresh with
       | y1 :: rest ->
           add u y1;
-          if not (mem x) then add y1 x;
+          if not (mem x) then begin
+            add y1 x;
+            hop.(!i) <- y1
+          end;
           List.iter (fun y -> add u y) rest
       | [] -> assert false);
       prune ();
@@ -178,58 +143,5 @@ let mis_k ?scratch g ~k u =
   if k < 1 then invalid_arg "Dom_tree_k.mis_k: k < 1";
   let s = scratch_or scratch in
   Bfs.Scratch.run ~radius:2 s g u;
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
-  mis_k_emit g ~k ~sphere:(sphere2_of s)
-    ~parent:(fun v -> if Tree.mem t v then Tree.parent t v else -1)
-    u
-    ~add:(fun p c -> Tree.add_edge t ~parent:p ~child:c);
-  t
-
-let extract_k21 g h ~k u =
-  if k < 1 then invalid_arg "Dom_tree_k.extract_k21: k < 1";
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
-  let dist = Bfs.dist ~radius:2 g u in
-  let s = Hashtbl.create 64 in
-  Graph.iter_vertices (fun v -> if dist.(v) = 2 then Hashtbl.replace s v ()) g;
-  let h_relays_of x =
-    (* common neighbors of u and x reachable as H-relays: u-y in H *)
-    common_neighbors g u x |> List.filter (fun y -> Edge_set.mem h u y)
-  in
-  let dominated v =
-    common_neighbors g u v
-    |> List.for_all (fun w -> Tree.mem t w && Tree.parent t w = u)
-    || disjoint_branch_count g t ~beta:1 v >= k
-  in
-  let prune () =
-    Hashtbl.iter (fun v () -> if dominated v then Hashtbl.remove s v) (Hashtbl.copy s)
-  in
-  prune ();
-  for _round = 1 to k do
-    let x_set = Hashtbl.copy s in
-    let continue = ref true in
-    while !continue && Hashtbl.length x_set > 0 && Hashtbl.length s > 0 do
-      let x =
-        Hashtbl.fold
-          (fun v () acc -> if Hashtbl.mem s v && (acc < 0 || v < acc) then v else acc)
-          x_set (-1)
-      in
-      if x < 0 then continue := false
-      else begin
-        let fresh = h_relays_of x |> List.filter (fun y -> not (Tree.mem t y)) in
-        let connectors = List.filter (fun y -> Edge_set.mem h x y) fresh in
-        (match connectors with
-        | y1 :: _ when not (Tree.mem t x) ->
-            Tree.add_edge t ~parent:u ~child:y1;
-            Tree.add_edge t ~parent:y1 ~child:x;
-            List.filteri (fun i _ -> i < k - 1) (List.filter (( <> ) y1) fresh)
-            |> List.iter (fun y -> Tree.add_edge t ~parent:u ~child:y)
-        | _ ->
-            List.filteri (fun i _ -> i < k) fresh
-            |> List.iter (fun y -> Tree.add_edge t ~parent:u ~child:y));
-        prune ();
-        Hashtbl.remove x_set x;
-        Array.iter (fun w -> Hashtbl.remove x_set w) (Graph.neighbors g x)
-      end
-    done
-  done;
-  if Hashtbl.length s = 0 && is_k_dominating g ~k ~beta:1 t then Some t else None
+  let sphere = sphere2_of s in
+  Dom_tree.collect s u (mis_k_emit g ~k ~sphere u)

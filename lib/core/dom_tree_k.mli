@@ -16,37 +16,30 @@
     In a rooted tree, root paths to two nodes are internally disjoint
     iff the nodes lie under different children of the root, so the
     "k disjoint paths" test reduces to counting distinct depth-1
-    ancestors — see {!disjoint_branch_count}. *)
+    ancestors; {!Certificate.check} checks the definition that way.
+
+    Trees are flat pair arrays, as in {!Dom_tree}. *)
 
 open Rs_graph
 
-val disjoint_branch_count : Graph.t -> Tree.t -> beta:int -> int -> int
-(** [disjoint_branch_count g t ~beta v]: the maximum number of
-    pairwise internally disjoint tree paths from the root to distinct
-    neighbors of [v] lying in [B_T(root, 1+beta)] — the number of root
-    children whose subtree contains such a neighbor. *)
-
-val is_k_dominating : Graph.t -> k:int -> beta:int -> Tree.t -> bool
-(** Literal check of the definition above. *)
-
-val gdy_k : ?scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> Tree.t
+val gdy_k : ?scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> int array
 (** Algorithm 4 (DomTreeGdy_{2,0,k}): greedy k-multicover of the
     2-sphere of [u] by neighbor balls ({!Rs_setcover.Setcover}'s lazy
     greedy); the tree is a star around [u]. Edge count within
     [1 + log Delta] of the optimal k-connecting (2,0)-dominating tree
     (Proposition 6). Ties by smallest id. Pass [~scratch] to reuse BFS
     state across roots (per-tree work proportional to the 2-ball, not
-    [n]); a scratch must not be shared between domains. *)
+    [n]); a scratch must not be shared between domains. The pairs are
+    exactly those {!Sharded.iter_trees} hands over for [u]. *)
 
 val gdy_k_emit :
   Graph.t -> k:int -> sphere:int array -> int -> add:(int -> int -> unit) -> unit
 (** Edge-emitting core of {!gdy_k}: everything after the radius-2
     traversal, with [sphere] the id-sorted 2-sphere of the root and
-    [add u relay] invoked per star edge. Lets the batched builder
-    ([Rs_core.Sharded]) skip the O(n) [Tree.t] per root; edges and
-    metrics identical to {!gdy_k}. Assumes [k >= 1]. *)
+    [add u relay] invoked per star edge; shared by {!gdy_k} and the
+    batched builder ([Rs_core.Sharded]). Assumes [k >= 1]. *)
 
-val mis_k : ?scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> Tree.t
+val mis_k : ?scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> int array
 (** Algorithm 5 (DomTreeMIS_{2,1,k}): k rounds of greedy maximal
     independent sets over the not-yet-dominated 2-sphere; each picked
     node [x] is attached through a fresh common neighbor and up to
@@ -57,23 +50,12 @@ val mis_k_emit :
   Graph.t ->
   k:int ->
   sphere:int array ->
-  parent:(int -> int) ->
   int ->
+  mem:(int -> bool) ->
   add:(int -> int -> unit) ->
   unit
 (** Edge-emitting core of {!mis_k}, the counterpart of {!gdy_k_emit}:
-    [sphere] is the id-sorted 2-sphere of the root, [parent v] the
-    current tree parent of [v] ([-1] off the tree, the root maps to
-    itself) and [add p c] must attach [c] under [p] so that [parent]
-    sees it. Reads the CSR only; edges and metrics identical to
-    {!mis_k}. Assumes [k >= 1]. *)
-
-val extract_k21 : Graph.t -> Edge_set.t -> k:int -> int -> Tree.t option
-(** [extract_k21 g h ~k u] greedily builds a k-connecting
-    (2,1)-dominating tree for [u] using only edges of [h]: relays come
-    from [h]'s depth-1/2 structure around [u] instead of the whole
-    graph. [Some t] certifies that [h] induces such a tree for [u]
-    (checked with {!is_k_dominating} before returning); [None] means
-    the greedy extraction failed — a sufficiency check, exact in the
-    star-like cases, used to audit Proposition 4's premise on
-    construction outputs. *)
+    [sphere] is the id-sorted 2-sphere of the root; [mem]/[add] are
+    tree membership and edge recording as in {!Dom_tree.gdy_emit}
+    (initially only the root is a member). Reads the CSR only.
+    Assumes [k >= 1]. *)

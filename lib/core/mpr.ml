@@ -9,9 +9,11 @@ let two_hop g u =
   Graph.iter_vertices (fun v -> if d.(v) = 2 then acc := v :: !acc) g;
   List.rev !acc
 
-let select g u =
-  let t = Dom_tree_k.gdy_k g ~k:1 u in
-  List.filter (fun v -> v <> u) (Tree.vertices t)
+(* the children of a flat tree, sorted: a gdy_k star's relays *)
+let children pairs =
+  List.sort compare (List.init (Array.length pairs / 2) (fun i -> pairs.((2 * i) + 1)))
+
+let select g u = children (Dom_tree_k.gdy_k g ~k:1 u)
 
 let select_olsr g u =
   let sphere = two_hop g u in
@@ -54,9 +56,7 @@ let select_olsr g u =
   done;
   List.sort compare (Hashtbl.fold (fun x () acc -> x :: acc) chosen [])
 
-let select_k_coverage g ~k u =
-  let t = Dom_tree_k.gdy_k g ~k u in
-  List.filter (fun v -> v <> u) (Tree.vertices t)
+let select_k_coverage g ~k u = children (Dom_tree_k.gdy_k g ~k u)
 
 let is_valid_mpr g u relays =
   let relay = Hashtbl.create 8 in

@@ -15,8 +15,8 @@ open Rs_graph
 
 val select : Graph.t -> int -> int list
 (** Greedy MPR set of [u]: minimal-ish set of neighbors covering the
-    2-sphere (the leaf set of a greedy (2,0)-dominating tree;
-    identical to [Dom_tree_k.gdy_k ~k:1]'s leaves). Sorted. *)
+    2-sphere: the children of the greedy (2,0)-dominating star
+    [Dom_tree_k.gdy_k ~k:1], read off its flat pairs. Sorted. *)
 
 val select_olsr : Graph.t -> int -> int list
 (** The RFC 3626 heuristic: first take neighbors that are the sole
@@ -26,7 +26,8 @@ val select_olsr : Graph.t -> int -> int list
     either way. Sorted. *)
 
 val select_k_coverage : Graph.t -> k:int -> int -> int list
-(** k-coverage MPRs: leaves of [Dom_tree_k.gdy_k ~k]. Sorted. *)
+(** k-coverage MPRs: the children of the star [Dom_tree_k.gdy_k ~k].
+    Sorted. *)
 
 val is_valid_mpr : Graph.t -> int -> int list -> bool
 (** Every strict 2-hop node of [u] has a neighbor among the relays. *)

@@ -60,7 +60,7 @@ module Distributed = struct
   let flood_trees g trees ~radius =
     if radius = 0 then Sim.zero_stats
     else begin
-      let payload_of u = List.length (Tree.edges trees.(u)) in
+      let payload_of u = Array.length trees.(u) / 2 in
       let proto =
         {
           Sim.init =
@@ -97,30 +97,24 @@ module Distributed = struct
     let views, collect_stats =
       Obs.with_span "collect" (fun () -> Sim.collect_neighborhoods g ~radius)
     in
-    let n = Graph.n g in
-    let trees = Array.make n (Tree.create ~n ~root:0) in
-    Obs.with_span "local_trees" (fun () ->
-        for u = 0 to n - 1 do
-          if Graph.degree g u = 0 then trees.(u) <- Tree.create ~n ~root:u
-          else begin
-            let local, back, fwd = local_view views.(u) in
-            let t_local = tree_of_view local (Hashtbl.find fwd u) in
-            let t = Tree.create ~n ~root:u in
-            (* re-add edges shallow-first so parents always precede children *)
-            let by_depth =
-              List.sort
-                (fun (p1, _) (p2, _) ->
-                  compare (Tree.depth t_local p1, p1) (Tree.depth t_local p2, p2))
-                (Tree.edges t_local)
-            in
-            List.iter
-              (fun (p, c) -> Tree.add_edge t ~parent:back.(p) ~child:back.(c))
-              by_depth;
-            trees.(u) <- t
-          end
-        done);
+    (* each node's tree as flat pairs in global ids: O(n + sum |T_u|)
+       memory in all *)
+    let trees =
+      Obs.with_span "local_trees" (fun () ->
+          Array.init (Graph.n g) (fun u ->
+              if Graph.degree g u = 0 then [||]
+              else begin
+                let local, back, fwd = local_view views.(u) in
+                Array.map (Array.get back) (tree_of_view local (Hashtbl.find fwd u))
+              end))
+    in
     let spanner = Edge_set.create g in
-    Array.iter (fun t -> Tree.add_to spanner t) trees;
+    Array.iter
+      (fun pairs ->
+        for i = 0 to (Array.length pairs / 2) - 1 do
+          Edge_set.add spanner pairs.(2 * i) pairs.((2 * i) + 1)
+        done)
+      trees;
     let flood_stats = Obs.with_span "flood" (fun () -> flood_trees g trees ~radius) in
     {
       spanner;

@@ -10,14 +10,14 @@
       each batch's balls overlap;
     - batches are fanned over domains by the work-stealing {!drive};
     - each domain emits canonical edge ids into a flat int
-      accumulator, merged once into the result set — no O(n) [Tree.t]
+      accumulator, merged once into the result set — no O(n) state
       per root, no per-tree [Edge_set.t].
 
     The resulting edge set is {e identical} to the sequential
-    per-root reference for every strategy, domain count, batch size
-    and root order (QCheck-asserted): trees depend only on their
-    root's ball and every tie-break is by vertex id. In the default
-    (global) mode the [core/trees_built], [bfs/runs] and
+    per-root reference for every strategy and domain count
+    (QCheck-asserted), and so is every tree {!iter_trees} hands over:
+    trees depend only on their root's ball and every tie-break is by
+    vertex id. The [core/trees_built], [bfs/runs] and
     [bfs/expansions] totals also match the sequential run exactly. *)
 
 open Rs_graph
@@ -54,38 +54,16 @@ val drive :
 val locality_order : Graph.t -> int array
 (** Multi-restart BFS visit order: a permutation in which consecutive
     vertices are graph-close, so a batch of [Msbfs.width] consecutive
-    roots has overlapping balls. The default order of {!build}.
+    roots has overlapping balls. The root order of {!build}.
     Not recorded as a bfs/runs traversal. *)
 
-val build :
-  ?domains:int ->
-  ?order:int array ->
-  ?chunk:int ->
-  ?local:bool ->
-  Graph.t ->
-  strategy ->
-  Edge_set.t
+val build : ?domains:int -> Graph.t -> strategy -> Edge_set.t
 (** [build g strat] is the union of [strat]'s dominating trees over
-    all roots — the same edge set as
-    the per-root trees of {!Dom_tree}/{!Dom_tree_k} unioned root by
-    root, built batched and sharded. [?domains] defaults to {!default_domains} (forced to 1
-    below 64 vertices); [?order] overrides the root order (a
-    permutation of the vertex range — e.g.
-    [Rs_geometry.Proximity.grid_order] for geometric graphs, any
-    hash-bucket order for Gnp; affects only performance, never the
-    result); [?chunk] caps the batch width (default and maximum
-    [Msbfs.width]).
-
-    [?local:true] additionally materializes, per batch, the induced
-    sub-graph on the batch's roots plus a [(radius-1)]-halo and runs
-    the batch against that shard. Roots whose traversal stayed clear
-    of the shard fringe are emitted locally; clipped roots are re-run
-    against the host graph in a final boundary-repair pass. Same edge
-    set, but traversal metrics count the local re-runs, so local mode
-    trades the sequential metric parity for shard-sized working sets.
-    Raises [Invalid_argument] on invalid strategy parameters or an
-    [order] that is not a permutation of [0 .. n-1] (wrong length,
-    out-of-range entry, or duplicate). *)
+    all roots — the same edge set as the per-root trees of
+    {!Dom_tree}/{!Dom_tree_k} unioned root by root, built batched, in
+    {!locality_order}, and sharded. [?domains] defaults to
+    {!default_domains} (forced to 1 below 64 vertices). Raises
+    [Invalid_argument] on invalid strategy parameters. *)
 
 val iter_trees : Graph.t -> strategy -> int array -> (int -> int array -> int -> unit) -> unit
 (** [iter_trees g strat roots f] builds the tree of every root in
@@ -93,7 +71,9 @@ val iter_trees : Graph.t -> strategy -> int array -> (int -> int array -> int ->
     given order, and calls [f root pairs len] once per root: its
     emitted [(parent, child)] edges are
     [pairs.(2i), pairs.(2i+1)] for [i < len], in emission order (every
-    parent is the root or an earlier child). [pairs] is reused by the
-    next call — copy what you keep. The engine behind {!build}, for
+    parent is the root or an earlier child) — the flat tree form of
+    the library, pair for pair what the per-root {!Dom_tree}/
+    {!Dom_tree_k} entry points return. [pairs] is reused by the next
+    call — copy what you keep. The engine behind {!build}, for
     callers that keep trees per root. Raises [Invalid_argument] on
     invalid strategy parameters. *)

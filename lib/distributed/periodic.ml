@@ -1,5 +1,4 @@
 module Graph = Rs_graph.Graph
-module Tree = Rs_graph.Tree
 module Obs = Rs_obs.Obs
 module Trace = Rs_obs.Trace
 module Json = Rs_obs.Json
@@ -64,6 +63,12 @@ let check_events_sorted events =
   in
   scan 0 events
 
+(* The canonical edges of a flat [(parent, child)] pair tree, vertex
+   ids mapped through [id]. *)
+let tree_edges id pairs =
+  List.init (Array.length pairs / 2) (fun i ->
+      canonical (id pairs.(2 * i), id pairs.((2 * i) + 1)))
+
 (* Build u's view graph from its cache (OR rule over advertised lists,
    own adjacency always fresh), renumbered; returns tree edges in
    global ids. *)
@@ -87,13 +92,7 @@ let recompute_tree ~tree_of g cache u =
       Array.iter (fun w -> edges := (o, Hashtbl.find fwd w) :: !edges) nbrs)
     lists;
   let local = Graph.make ~n:(Array.length vs) !edges in
-  let t_local = tree_of local (Hashtbl.find fwd u) in
-  let by_depth =
-    List.sort
-      (fun (p1, _) (p2, _) -> compare (Tree.depth t_local p1, p1) (Tree.depth t_local p2, p2))
-      (Tree.edges t_local)
-  in
-  List.map (fun (p, c) -> canonical (vs.(p), vs.(c))) by_depth
+  tree_edges (Array.get vs) (tree_of local (Hashtbl.find fwd u))
 
 let simulate ?trace ?faults ?expiry ?incremental ~initial ~events ~period ~radius
     ~horizon ~tree_of () =
@@ -171,7 +170,7 @@ let simulate ?trace ?faults ?expiry ?incremental ~initial ~events ~period ~radiu
               List.fold_left
                 (fun acc e -> Pair_set.add e acc)
                 acc
-                (List.map canonical (Tree.edges (tree_of g u))))
+                (tree_edges Fun.id (tree_of g u)))
             Pair_set.empty g
         in
         Hashtbl.replace target_cache key s;

@@ -75,12 +75,13 @@ val simulate :
   period:int ->
   radius:int ->
   horizon:int ->
-  tree_of:(Graph.t -> int -> Tree.t) ->
+  tree_of:(Graph.t -> int -> int array) ->
   unit ->
   result
 (** [simulate ~initial ~events ~period ~radius ~horizon ~tree_of ()] runs
     the periodic protocol for [horizon] rounds. [tree_of] computes a
-    node's dominating tree from an arbitrary (view) graph — pass e.g.
+    node's dominating tree from an arbitrary (view) graph, as flat
+    [(parent, child)] pairs ([Rs_core.Sharded.iter_trees]'s form) — pass e.g.
     [fun g u -> Rs_core.Dom_tree_k.gdy_k g ~k:1 u]... any construction
     whose radius requirement is at most [radius]. The target each
     round is the union of [tree_of] applied to the true current graph.

@@ -34,7 +34,7 @@
     {!check}, which tests, recovery and the chaos harnesses apply.
 
     Per-root trees are kept as flat [int] arrays of [(parent, child)]
-    pairs; no [Tree.t] is held. With the correct locality radius the
+    pairs; no O(n) tree is held. With the correct locality radius the
     repair never escalates and the repaired spanner is identical, root
     tree by root tree, to a from-scratch build on the new graph (the
     equivalence property tests assert exactly this). An

@@ -7,39 +7,6 @@ let check_pts pts g =
     (fun p -> if Array.length p <> 2 then invalid_arg "Proximity: need 2-D points")
     pts
 
-let grid_order ?(cell = 1.0) pts =
-  if cell <= 0.0 then invalid_arg "Proximity.grid_order: cell > 0";
-  Array.iter
-    (fun p -> if Array.length p <> 2 then invalid_arg "Proximity.grid_order: need 2-D points")
-    pts;
-  let n = Array.length pts in
-  if n = 0 then [||]
-  else begin
-    let minx = ref pts.(0).(0) and miny = ref pts.(0).(1) in
-    Array.iter
-      (fun p ->
-        if p.(0) < !minx then minx := p.(0);
-        if p.(1) < !miny then miny := p.(1))
-      pts;
-    (* Serpentine sweep over the cell grid: rows bottom-up, columns
-       alternating direction, so consecutive cells share a border and a
-       run of consecutive roots stays inside a small disk. *)
-    let key = Array.init n (fun i -> i) in
-    let cells i =
-      let p = pts.(i) in
-      let row = int_of_float ((p.(1) -. !miny) /. cell) in
-      let col = int_of_float ((p.(0) -. !minx) /. cell) in
-      let col = if row land 1 = 0 then col else -col in
-      (row, col)
-    in
-    Array.sort
-      (fun a b ->
-        let ka = cells a and kb = cells b in
-        if ka <> kb then compare ka kb else compare a b)
-      key;
-    key
-  end
-
 let gabriel pts g =
   check_pts pts g;
   let keep = Edge_set.create g in

@@ -12,16 +12,6 @@
 
 open Rs_graph
 
-val grid_order : ?cell:float -> Point.t array -> int array
-(** [grid_order pts] is a permutation of [0, n) that visits the points
-    cell by cell over a grid of side [cell] (default 1.0, the UDG
-    radius), rows in a serpentine sweep and ascending id within a
-    cell. Consecutive indices are geometrically close, so feeding this
-    as the [?order] of [Rs_core.Sharded.build] makes each batch of
-    roots share most of its balls — the geometric counterpart of
-    [Sharded.locality_order], computable without touching the graph.
-    Requires 2-D points; affects performance only, never results. *)
-
 val gabriel : Point.t array -> Graph.t -> Edge_set.t
 (** Gabriel graph restricted to [g]'s edges: keep edge (u, v) iff no
     third point lies strictly inside the disk with diameter [uv]. *)

@@ -44,9 +44,9 @@ module Scratch = struct
   (* Reusable BFS state. [stamp.(v) = gen] marks v as reached by the
      most recent run, so resetting between runs is one integer bump —
      O(touched) work total, never O(n). [queue.(0 .. count-1)] keeps the
-     visit order of the last run. [marks] is a general-purpose vertex
-     set for algorithms layered on a traversal (never touched by the
-     BFS itself). *)
+     visit order of the last run. [marks] and [tree] are vertex sets
+     for algorithms layered on a traversal (never touched by the BFS
+     itself). *)
   type t = {
     mutable dist : int array;
     mutable parent : int array;
@@ -55,6 +55,7 @@ module Scratch = struct
     mutable gen : int;
     mutable count : int;
     marks : Marks.t;
+    tree : Marks.t;
   }
 
   let create () =
@@ -66,6 +67,7 @@ module Scratch = struct
       gen = 0;
       count = 0;
       marks = Marks.create ();
+      tree = Marks.create ();
     }
 
   let ensure s n =
@@ -80,6 +82,7 @@ module Scratch = struct
     end
 
   let marks s = s.marks
+  let tree s = s.tree
   let visited_count s = s.count
   let visited s i = s.queue.(i)
   let reached s v = v < Array.length s.stamp && s.stamp.(v) = s.gen

@@ -84,6 +84,12 @@ module Scratch : sig
   val marks : t -> Marks.t
   (** A general-purpose {!Marks.t} co-located with the scratch for the
       algorithm running on top of it. BFS itself never touches it. *)
+
+  val tree : t -> Marks.t
+  (** A second such set, distinct from {!marks}: the members of the
+      tree a construction grows over the last run (the per-root
+      dominating-tree builders use it), so tree-building costs
+      O(ball) per root, never O(n). *)
 end
 
 val dist_adj : ?radius:int -> int array array -> int -> int array

@@ -1,0 +1,178 @@
+(* Literal reference copies of the dominating-tree definitions over
+   flat pair trees: the oracle that [Rs_core.Certificate], the
+   library's only checker, is compared against. Also home of
+   [extract_k21], the constructive audit of Proposition 4's premise
+   that only the tests run. Everything reads the definitions word for
+   word and favours clarity over speed: trees are hashtables,
+   distances come from a full BFS. *)
+open Rs_graph
+open Rs_core
+
+(* A rooted tree grown edge by edge: [parent] maps every member to its
+   parent (the root to itself), [rev] lists the emitted pairs
+   newest-first. *)
+type tree = { root : int; parent : (int, int) Hashtbl.t; mutable rev : int list }
+
+let create ~root =
+  let parent = Hashtbl.create 16 in
+  Hashtbl.replace parent root root;
+  { root; parent; rev = [] }
+
+let mem t v = Hashtbl.mem t.parent v
+let parent t v = Hashtbl.find t.parent v
+
+(* Re-adding an existing edge is a no-op; a second parent for a member
+   is an error (a tree has one path per node). *)
+let add_edge t ~parent ~child =
+  if not (mem t parent) then invalid_arg "Reference.add_edge: parent not in tree";
+  if child = t.root then invalid_arg "Reference.add_edge: cannot re-parent the root";
+  match Hashtbl.find_opt t.parent child with
+  | Some p -> if p <> parent then invalid_arg "Reference.add_edge: child has another parent"
+  | None ->
+      Hashtbl.replace t.parent child parent;
+      t.rev <- child :: parent :: t.rev
+
+(* Adds the path root..x read off [parent_of], stopping at the first
+   member met. *)
+let rec graft t parent_of x =
+  if not (mem t x) then begin
+    let p = parent_of x in
+    graft t parent_of p;
+    add_edge t ~parent:p ~child:x
+  end
+
+let of_pairs ~root pairs =
+  let t = create ~root in
+  for i = 0 to (Array.length pairs / 2) - 1 do
+    add_edge t ~parent:pairs.(2 * i) ~child:pairs.((2 * i) + 1)
+  done;
+  t
+
+let pairs t = Array.of_list (List.rev t.rev)
+
+let edges t =
+  let a = pairs t in
+  List.init (Array.length a / 2) (fun i -> (a.(2 * i), a.((2 * i) + 1)))
+
+let vertices t = List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) t.parent [])
+
+let rec depth t v = if v = t.root then 0 else 1 + depth t (parent t v)
+
+let rec first_hop t v =
+  let p = parent t v in
+  if p = t.root then v else first_hop t p
+
+let edges_in g t = List.for_all (fun (p, c) -> Graph.mem_edge g p c) (edges t)
+
+(* ---- (r, beta)-dominating trees (Dom_tree) ---- *)
+
+(* every v with 2 <= d(u, v) <= r has a neighbor x in the tree with
+   d_T(u, x) <= d(u, v) - 1 + beta; and the edges belong to the graph *)
+let is_dominating g ~r ~beta ~root pairs =
+  let t = of_pairs ~root pairs in
+  edges_in g t
+  &&
+  let dist = Bfs.dist ~radius:r g root in
+  Graph.fold_vertices
+    (fun ok v ->
+      let r' = dist.(v) in
+      ok
+      && (r' < 2 || r' > r
+         || Array.exists
+              (fun x -> mem t x && depth t x <= r' - 1 + beta)
+              (Graph.neighbors g v)))
+    true g
+
+(* ---- k-connecting (2, beta)-dominating trees (Dom_tree_k) ---- *)
+
+(* the number of root children whose subtree holds a neighbor of [v]
+   within depth 1 + beta: the most pairwise internally disjoint tree
+   paths from the root to neighbors of [v] *)
+let branch_count g t ~beta v =
+  let hops = Hashtbl.create 8 in
+  Array.iter
+    (fun x ->
+      if x <> t.root && mem t x && depth t x <= 1 + beta then
+        Hashtbl.replace hops (first_hop t x) ())
+    (Graph.neighbors g v);
+  Hashtbl.length hops
+
+let disjoint_branch_count g ~beta ~root pairs v = branch_count g (of_pairs ~root pairs) ~beta v
+
+let common_neighbors g u v =
+  Array.to_list (Graph.neighbors g v) |> List.filter (fun w -> Graph.mem_edge g u w)
+
+(* every v at distance 2 has k disjoint branches, or every common
+   neighbor of root and v is a child of the root *)
+let is_k_dominating g ~k ~beta ~root pairs =
+  let t = of_pairs ~root pairs in
+  edges_in g t
+  &&
+  let dist = Bfs.dist ~radius:2 g root in
+  Graph.fold_vertices
+    (fun ok v ->
+      ok
+      && (dist.(v) <> 2
+         || branch_count g t ~beta v >= k
+         || List.for_all (fun w -> mem t w && parent t w = root) (common_neighbors g root v)))
+    true g
+
+(* [extract_k21 g h ~k u] greedily builds a k-connecting
+   (2,1)-dominating tree for [u] from edges of [h] only: relays come
+   from [h]'s depth-1/2 structure around [u]. [Some pairs] certifies
+   that [h] induces such a tree for [u]; [None] means the greedy
+   extraction failed — a sufficiency check, exact in the star-like
+   cases, used to audit Proposition 4's premise on construction
+   outputs. *)
+let extract_k21 g h ~k u =
+  if k < 1 then invalid_arg "Reference.extract_k21: k < 1";
+  let t = create ~root:u in
+  let dist = Bfs.dist ~radius:2 g u in
+  let s = Hashtbl.create 64 in
+  Graph.iter_vertices (fun v -> if dist.(v) = 2 then Hashtbl.replace s v ()) g;
+  let h_relays_of x =
+    (* common neighbors of u and x reachable as H-relays: u-y in H *)
+    common_neighbors g u x |> List.filter (fun y -> Edge_set.mem h u y)
+  in
+  let dominated v =
+    common_neighbors g u v |> List.for_all (fun w -> mem t w && parent t w = u)
+    || branch_count g t ~beta:1 v >= k
+  in
+  let prune () =
+    Hashtbl.iter (fun v () -> if dominated v then Hashtbl.remove s v) (Hashtbl.copy s)
+  in
+  prune ();
+  for _round = 1 to k do
+    let x_set = Hashtbl.copy s in
+    let continue = ref true in
+    while !continue && Hashtbl.length x_set > 0 && Hashtbl.length s > 0 do
+      let x =
+        Hashtbl.fold
+          (fun v () acc -> if Hashtbl.mem s v && (acc < 0 || v < acc) then v else acc)
+          x_set (-1)
+      in
+      if x < 0 then continue := false
+      else begin
+        let fresh = h_relays_of x |> List.filter (fun y -> not (mem t y)) in
+        let connectors = List.filter (fun y -> Edge_set.mem h x y) fresh in
+        (match connectors with
+        | y1 :: _ when not (mem t x) ->
+            add_edge t ~parent:u ~child:y1;
+            add_edge t ~parent:y1 ~child:x;
+            List.filteri (fun i _ -> i < k - 1) (List.filter (( <> ) y1) fresh)
+            |> List.iter (fun y -> add_edge t ~parent:u ~child:y)
+        | _ ->
+            List.filteri (fun i _ -> i < k) fresh
+            |> List.iter (fun y -> add_edge t ~parent:u ~child:y));
+        prune ();
+        Hashtbl.remove x_set x;
+        Array.iter (fun w -> Hashtbl.remove x_set w) (Graph.neighbors g x)
+      end
+    done
+  done;
+  let pairs = pairs t in
+  if
+    Hashtbl.length s = 0
+    && Certificate.check (Certificate.create ()) g (Sharded.Mis_k { k }) ~root:u pairs
+  then Some pairs
+  else None

@@ -25,43 +25,34 @@ let standard_graphs =
 (* ---------------------------------------------------------------- *)
 (* Checker sanity *)
 
+(* the literal reference checker, on hand-built flat trees rooted at 0 *)
+let dominating g ~r ~beta pairs = Reference.is_dominating g ~r ~beta ~root:0 pairs
+
 let test_checker_accepts_trivial_on_complete () =
-  let g = Gen.complete 5 in
-  let t = Tree.create ~n:5 ~root:0 in
   (* no vertex at distance >= 2: the bare root is a dominating tree *)
-  check "trivial ok" true (Dom_tree.is_dominating g ~r:3 ~beta:0 t)
+  check "trivial ok" true (dominating (Gen.complete 5) ~r:3 ~beta:0 [||])
 
 let test_checker_rejects_bare_root_on_cycle () =
-  let g = Gen.cycle 6 in
-  let t = Tree.create ~n:6 ~root:0 in
-  check "undominated" false (Dom_tree.is_dominating g ~r:2 ~beta:0 t)
+  check "undominated" false (dominating (Gen.cycle 6) ~r:2 ~beta:0 [||])
 
 let test_checker_rejects_foreign_edges () =
-  let g = Gen.path_graph 5 in
-  let t = Tree.create ~n:5 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:2 (* not an edge of the path *) ;
-  check "foreign edge" false (Dom_tree.is_dominating g ~r:2 ~beta:0 t)
+  (* 0-2 is not an edge of the path *)
+  check "foreign edge" false (dominating (Gen.path_graph 5) ~r:2 ~beta:0 [| 0; 2 |])
 
 let test_checker_manual_cycle6 () =
   (* On C6 from root 0, nodes at distance 2 are {2, 4}; the tree
      0-1 dominates 2 (neighbor 1 at depth 1), 0-5 dominates 4. *)
   let g = Gen.cycle 6 in
-  let t = Tree.create ~n:6 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:1;
-  check "half" false (Dom_tree.is_dominating g ~r:2 ~beta:0 t);
-  Tree.add_edge t ~parent:0 ~child:5;
-  check "both" true (Dom_tree.is_dominating g ~r:2 ~beta:0 t)
+  check "half" false (dominating g ~r:2 ~beta:0 [| 0; 1 |]);
+  check "both" true (dominating g ~r:2 ~beta:0 [| 0; 1; 0; 5 |])
 
 let test_checker_depth_bound_matters () =
   (* A path 0-1-2-3: the (3,0)-tree must reach node 2's neighbor at
      depth <= 2 for v=3 (r'=3). Tree 0-1 only has depth 1; v=3 needs
      x=2 at depth 2. *)
   let g = Gen.path_graph 4 in
-  let t = Tree.create ~n:4 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:1;
-  check "v=2 ok v=3 not" false (Dom_tree.is_dominating g ~r:3 ~beta:0 t);
-  Tree.add_edge t ~parent:1 ~child:2;
-  check "now ok" true (Dom_tree.is_dominating g ~r:3 ~beta:0 t)
+  check "v=2 ok v=3 not" false (dominating g ~r:3 ~beta:0 [| 0; 1 |]);
+  check "now ok" true (dominating g ~r:3 ~beta:0 [| 0; 1; 1; 2 |])
 
 (* ---------------------------------------------------------------- *)
 (* The local certificate over flat pair arrays *)
@@ -97,44 +88,40 @@ let test_certificate_hand_built () =
   rejected "orphan child" p4 0 [ 1; 2 ];
   rejected "conflicting parents" c6 0 [ 0; 1; 0; 5; 1; 2; 5; 4; 4; 3; 2; 3 ];
   rejected "re-parented root" c6 0 [ 0; 1; 1; 0 ];
+  rejected "re-added edge" p4 0 [ 0; 1; 0; 1 ];
   check "a foreign edge fails the check too" false (certify (Gen.path_graph 5) (gdy 2 0) 0 [ 0; 2 ])
 
 (* On every tree the batched engine builds, and on truncations of it
    (a prefix of a parents-first list is still a tree), the certificate
-   agrees with the literal Tree.t checker — of its own family and of
-   every other, which supplies the negative cases. *)
+   agrees with the literal reference checker — of its own family and
+   of every other, which supplies the negative cases. *)
 let test_certificate_agrees_with_literal () =
   let strategies =
     [ Sharded.Gdy { r = 2; beta = 0 }; Sharded.Gdy { r = 3; beta = 1 }; Sharded.Mis { r = 3 };
       Sharded.Gdy_k { k = 1 }; Sharded.Gdy_k { k = 2 }; Sharded.Mis_k { k = 2 } ]
   in
-  let literal g strat t =
+  let literal g strat ~root flat =
     match (strat : Sharded.strategy) with
-    | Gdy { r; beta } -> Dom_tree.is_dominating g ~r ~beta t
-    | Mis { r } -> Dom_tree.is_dominating g ~r ~beta:1 t
-    | Gdy_k { k } -> Dom_tree_k.is_k_dominating g ~k ~beta:0 t
-    | Mis_k { k } -> Dom_tree_k.is_k_dominating g ~k ~beta:1 t
+    | Gdy { r; beta } -> Reference.is_dominating g ~r ~beta ~root flat
+    | Mis { r } -> Reference.is_dominating g ~r ~beta:1 ~root flat
+    | Gdy_k { k } -> Reference.is_k_dominating g ~k ~beta:0 ~root flat
+    | Mis_k { k } -> Reference.is_k_dominating g ~k ~beta:1 ~root flat
   in
   let cert = Certificate.create () in
   let accepted = ref 0 and rejected = ref 0 in
   List.iter
     (fun (name, g) ->
-      let n = Graph.n g in
       List.iter
         (fun built ->
-          Sharded.iter_trees g built (Array.init n Fun.id) (fun root pairs len ->
+          Sharded.iter_trees g built (Array.init (Graph.n g) Fun.id) (fun root pairs len ->
               List.iter
                 (fun keep ->
                   let flat = Array.sub pairs 0 (2 * keep) in
-                  let t = Tree.create ~n ~root in
-                  for i = 0 to keep - 1 do
-                    Tree.add_edge t ~parent:flat.(2 * i) ~child:flat.((2 * i) + 1)
-                  done;
                   List.iter
                     (fun strat ->
                       let verdict = Certificate.check cert g strat ~root flat in
                       if verdict then incr accepted else incr rejected;
-                      if verdict <> literal g strat t then
+                      if verdict <> literal g strat ~root flat then
                         Alcotest.failf "%s root %d, %d of %d pairs: %a says %b" name root keep
                           len Sharded.pp_strategy strat verdict)
                     strategies)
@@ -157,15 +144,17 @@ let test_gdy_valid_all_graphs () =
               check
                 (Printf.sprintf "%s u=%d r=%d beta=%d" name u r beta)
                 true
-                (Dom_tree.is_dominating g ~r ~beta t))
+                (Reference.is_dominating g ~r ~beta ~root:u t))
             g)
         [ (2, 0); (2, 1); (3, 0); (3, 1); (4, 1) ])
     standard_graphs
 
 let test_gdy_root_is_u () =
+  (* every pair's parent is 3 or an earlier child *)
   let g = Gen.petersen () in
   let t = Dom_tree.gdy g ~r:2 ~beta:0 3 in
-  check_int "root" 3 (Tree.root t)
+  check "rooted at 3" true (Certificate.replay (Certificate.create ()) g ~root:3 t = Ok ());
+  check "not at 0" false (Certificate.replay (Certificate.create ()) g ~root:0 t = Ok ())
 
 let test_gdy_depth_bounded () =
   List.iter
@@ -173,12 +162,12 @@ let test_gdy_depth_bounded () =
       let r = 3 and beta = 1 in
       Graph.iter_vertices
         (fun u ->
-          let t = Dom_tree.gdy g ~r ~beta u in
+          let t = Reference.of_pairs ~root:u (Dom_tree.gdy g ~r ~beta u) in
           List.iter
             (fun v ->
               check (Printf.sprintf "%s depth" name) true
-                (Tree.depth t v <= r - 1 + beta))
-            (Tree.vertices t))
+                (Reference.depth t v <= r - 1 + beta))
+            (Reference.vertices t))
         g)
     standard_graphs
 
@@ -188,13 +177,13 @@ let test_gdy_deterministic () =
     (fun u ->
       let t1 = Dom_tree.gdy g ~r:3 ~beta:1 u in
       let t2 = Dom_tree.gdy g ~r:3 ~beta:1 u in
-      check "same tree" true (Tree.edges t1 = Tree.edges t2))
+      check "same tree" true (t1 = t2))
     g
 
 let test_gdy_r1_is_trivial () =
   let g = Gen.petersen () in
   let t = Dom_tree.gdy g ~r:1 ~beta:0 0 in
-  check_int "only root" 1 (Tree.size t)
+  check_int "only root" 0 (Array.length t)
 
 let test_gdy_path_shape () =
   (* On a path rooted at one end, each layer's only candidate is the
@@ -202,15 +191,15 @@ let test_gdy_path_shape () =
   let g = Gen.path_graph 6 in
   let t = Dom_tree.gdy g ~r:4 ~beta:0 0 in
   Alcotest.(check (list (pair int int)))
-    "path prefix" [ (0, 1); (1, 2); (2, 3) ] (List.sort compare (Tree.edges t))
+    "path prefix" [ (0, 1); (1, 2); (2, 3) ] (Reference.edges (Reference.of_pairs ~root:0 t))
 
 let test_gdy_star_center () =
   let g = Gen.star 8 in
   let t = Dom_tree.gdy g ~r:2 ~beta:0 0 in
-  check_int "center sees everything at distance 1" 1 (Tree.size t);
+  check_int "center sees everything at distance 1" 0 (Array.length t);
   (* from a leaf, all other leaves are at distance 2, dominated by the center *)
   let t1 = Dom_tree.gdy g ~r:2 ~beta:0 1 in
-  check_int "leaf tree = edge to center" 2 (Tree.size t1)
+  Alcotest.(check (array int)) "leaf tree = edge to center" [| 1; 0 |] t1
 
 (* ---------------------------------------------------------------- *)
 (* Algorithm 2 (MIS) *)
@@ -226,7 +215,7 @@ let test_mis_valid_all_graphs () =
               check
                 (Printf.sprintf "%s u=%d r=%d" name u r)
                 true
-                (Dom_tree.is_dominating g ~r ~beta:1 t))
+                (Reference.is_dominating g ~r ~beta:1 ~root:u t))
             g)
         [ 2; 3; 5 ])
     standard_graphs
@@ -237,7 +226,7 @@ let test_mis_members_independent () =
   let g = udg 37 70 in
   Graph.iter_vertices
     (fun u ->
-      let t = Dom_tree.mis g ~r:3 u in
+      let t = Reference.of_pairs ~root:u (Dom_tree.mis g ~r:3 u) in
       (* reconstruct M: members at distance >= 2 that were picked, i.e.
          tree leaves plus internal picks; we verify the weaker, still
          MIS-implied property that the tree dominates B(u,3)\B(u,1). *)
@@ -246,8 +235,8 @@ let test_mis_members_independent () =
         (fun v ->
           if d.(v) >= 2 && d.(v) <= 3 then begin
             let dominated =
-              Tree.mem t v
-              || Array.exists (fun w -> Tree.mem t w) (Graph.neighbors g v)
+              Reference.mem t v
+              || Array.exists (fun w -> Reference.mem t w) (Graph.neighbors g v)
             in
             check "mis dominates ball" true dominated
           end)
@@ -259,10 +248,10 @@ let test_mis_depth_equals_graph_distance () =
   Graph.iter_vertices
     (fun u ->
       let d = Bfs.dist g u in
-      let t = Dom_tree.mis g ~r:4 u in
+      let t = Reference.of_pairs ~root:u (Dom_tree.mis g ~r:4 u) in
       List.iter
-        (fun v -> check_int "depth = d_G" d.(v) (Tree.depth t v))
-        (Tree.vertices t))
+        (fun v -> check_int "depth = d_G" d.(v) (Reference.depth t v))
+        (Reference.vertices t))
     g
 
 let test_mis_size_bounded_on_udg () =
@@ -276,7 +265,7 @@ let test_mis_size_bounded_on_udg () =
         (fun u ->
           let t = Dom_tree.mis g ~r u in
           check "O(r^3) edges" true
-            (Tree.edge_count t <= 16 * r * r * r))
+            (Array.length t / 2 <= 16 * r * r * r))
         g)
     [ 2; 3; 4 ]
 
@@ -302,7 +291,7 @@ let test_gdy_vs_optimal_star_ratio () =
           | None -> ()
           | Some 0 -> ()
           | Some opt ->
-              let got = Tree.edge_count (Dom_tree.gdy g ~r:2 ~beta:0 u) in
+              let got = Array.length (Dom_tree.gdy g ~r:2 ~beta:0 u) / 2 in
               let ratio = float_of_int got /. float_of_int opt in
               check
                 (Printf.sprintf "%s ratio" name)
@@ -319,7 +308,7 @@ let test_optimal_lower_bound_below_gdy () =
           match Dom_tree.optimal_lower_bound g ~r:3 ~beta:1 u with
           | None -> ()
           | Some lb ->
-              let got = Tree.edge_count (Dom_tree.gdy g ~r:3 ~beta:1 u) in
+              let got = Array.length (Dom_tree.gdy g ~r:3 ~beta:1 u) / 2 in
               check "lb <= constructed" true (lb <= got))
         g)
     [ ("petersen", Gen.petersen ()); ("grid", Gen.grid 4 4); ("cycle", Gen.cycle 10) ]

@@ -25,36 +25,30 @@ let standard_graphs =
   ]
 
 (* ---------------------------------------------------------------- *)
-(* disjoint_branch_count *)
+(* disjoint_branch_count (the literal reference, on flat trees rooted at 0) *)
+
+let branches g ~beta pairs v = Reference.disjoint_branch_count g ~beta ~root:0 pairs v
 
 let test_branch_count_manual () =
   (* K_{2,3}: parts {0,1} and {2,3,4}. Root 0; v = 1 at distance 2.
      Tree: 0-2, 0-3 -> two disjoint depth-1 branches adjacent to 1. *)
   let g = Gen.complete_bipartite 2 3 in
-  let t = Tree.create ~n:5 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:2;
-  check_int "one" 1 (Dom_tree_k.disjoint_branch_count g t ~beta:0 1);
-  Tree.add_edge t ~parent:0 ~child:3;
-  check_int "two" 2 (Dom_tree_k.disjoint_branch_count g t ~beta:0 1)
+  check_int "one" 1 (branches g ~beta:0 [| 0; 2 |] 1);
+  check_int "two" 2 (branches g ~beta:0 [| 0; 2; 0; 3 |] 1)
 
 let test_branch_count_depth2_same_branch () =
   (* path 0-1-2 plus edge 1-3, 2-3: tree 0-1, 1-2: both 1 and 2 are
      neighbors of 3 but share the branch through 1. *)
   let g = Graph.make ~n:4 [ (0, 1); (1, 2); (1, 3); (2, 3) ] in
-  let t = Tree.create ~n:4 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:1;
-  Tree.add_edge t ~parent:1 ~child:2;
-  check_int "same branch counts once" 1 (Dom_tree_k.disjoint_branch_count g t ~beta:1 3)
+  check_int "same branch counts once" 1 (branches g ~beta:1 [| 0; 1; 1; 2 |] 3)
 
 let test_branch_count_depth_cutoff () =
   (* beta = 0 only sees depth-1 members *)
   let g = Graph.make ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
-  let t = Tree.create ~n:4 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:1;
-  Tree.add_edge t ~parent:1 ~child:2;
+  let t = [| 0; 1; 1; 2 |] in
   (* v = 3: neighbor 2 is at depth 2 *)
-  check_int "beta 0 blind to depth 2" 0 (Dom_tree_k.disjoint_branch_count g t ~beta:0 3);
-  check_int "beta 1 sees it" 1 (Dom_tree_k.disjoint_branch_count g t ~beta:1 3)
+  check_int "beta 0 blind to depth 2" 0 (branches g ~beta:0 t 3);
+  check_int "beta 1 sees it" 1 (branches g ~beta:1 t 3)
 
 (* ---------------------------------------------------------------- *)
 (* Checker *)
@@ -67,8 +61,8 @@ let test_checker_k1_matches_domtree_definition () =
         (fun u ->
           let t = Dom_tree_k.gdy_k g ~k:1 u in
           check (name ^ " k=1 both checkers") true
-            (Dom_tree_k.is_k_dominating g ~k:1 ~beta:0 t
-            && Dom_tree.is_dominating g ~r:2 ~beta:0 t))
+            (Reference.is_k_dominating g ~k:1 ~beta:0 ~root:u t
+            && Reference.is_dominating g ~r:2 ~beta:0 ~root:u t))
         g)
     standard_graphs
 
@@ -77,21 +71,15 @@ let test_checker_escape_clause () =
      edge u-1 satisfies the "all common neighbors" clause even though
      one branch < k = 2. *)
   let g = Gen.cycle 6 in
-  let t = Tree.create ~n:6 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:1;
-  Tree.add_edge t ~parent:0 ~child:5;
-  check "escape clause" true (Dom_tree_k.is_k_dominating g ~k:2 ~beta:0 t)
+  check "escape clause" true (Reference.is_k_dominating g ~k:2 ~beta:0 ~root:0 [| 0; 1; 0; 5 |])
 
 let test_checker_requires_all_common_neighbors () =
   (* K_{2,3}: root 0, v=1, common neighbors {2,3,4}. With k=3 a tree
      holding only 2 of them fails. *)
   let g = Gen.complete_bipartite 2 3 in
-  let t = Tree.create ~n:5 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:2;
-  Tree.add_edge t ~parent:0 ~child:3;
-  check "2 of 3 insufficient for k=3" false (Dom_tree_k.is_k_dominating g ~k:3 ~beta:0 t);
-  Tree.add_edge t ~parent:0 ~child:4;
-  check "all 3 fine" true (Dom_tree_k.is_k_dominating g ~k:3 ~beta:0 t)
+  let k_dominating pairs = Reference.is_k_dominating g ~k:3 ~beta:0 ~root:0 pairs in
+  check "2 of 3 insufficient for k=3" false (k_dominating [| 0; 2; 0; 3 |]);
+  check "all 3 fine" true (k_dominating [| 0; 2; 0; 3; 0; 4 |])
 
 (* ---------------------------------------------------------------- *)
 (* Algorithm 4 *)
@@ -107,7 +95,7 @@ let test_gdy_k_valid () =
               check
                 (Printf.sprintf "%s u=%d k=%d" name u k)
                 true
-                (Dom_tree_k.is_k_dominating g ~k ~beta:0 t))
+                (Reference.is_k_dominating g ~k ~beta:0 ~root:u t))
             g)
         [ 1; 2; 3; 5 ])
     standard_graphs
@@ -116,19 +104,19 @@ let test_gdy_k_is_star () =
   let g = udg 55 50 in
   Graph.iter_vertices
     (fun u ->
-      let t = Dom_tree_k.gdy_k g ~k:2 u in
+      let t = Reference.of_pairs ~root:u (Dom_tree_k.gdy_k g ~k:2 u) in
       List.iter
-        (fun v -> if v <> u then check_int "depth 1" 1 (Tree.depth t v))
-        (Tree.vertices t))
+        (fun v -> if v <> u then check_int "depth 1" 1 (Reference.depth t v))
+        (Reference.vertices t))
     g
 
 let test_gdy_k_monotone_in_k () =
   let g = dense_er 57 25 0.4 in
   Graph.iter_vertices
     (fun u ->
-      let s1 = Tree.edge_count (Dom_tree_k.gdy_k g ~k:1 u) in
-      let s2 = Tree.edge_count (Dom_tree_k.gdy_k g ~k:2 u) in
-      let s3 = Tree.edge_count (Dom_tree_k.gdy_k g ~k:3 u) in
+      let s1 = Array.length (Dom_tree_k.gdy_k g ~k:1 u) in
+      let s2 = Array.length (Dom_tree_k.gdy_k g ~k:2 u) in
+      let s3 = Array.length (Dom_tree_k.gdy_k g ~k:3 u) in
       check "k=1 <= k=2" true (s1 <= s2);
       check "k=2 <= k=3" true (s2 <= s3))
     g
@@ -137,7 +125,7 @@ let test_gdy_k_saturates_at_neighborhood () =
   (* huge k: every common neighbor gets selected *)
   let g = Gen.cycle 8 in
   let t = Dom_tree_k.gdy_k g ~k:50 0 in
-  check_int "both neighbors" 2 (Tree.edge_count t)
+  check_int "both neighbors" 2 (Array.length t / 2)
 
 let test_gdy_k_ratio_vs_exact_multicover () =
   (* Proposition 6: within 1 + log Delta of the optimal k-connecting
@@ -167,7 +155,7 @@ let test_gdy_k_ratio_vs_exact_multicover () =
             match Rs_setcover.Setcover.exact inst ~k:2 with
             | None -> ()
             | Some opt when opt <> [] ->
-                let got = Tree.edge_count (Dom_tree_k.gdy_k g ~k:2 u) in
+                let got = Array.length (Dom_tree_k.gdy_k g ~k:2 u) / 2 in
                 let ratio = float_of_int got /. float_of_int (List.length opt) in
                 check "prop 6 ratio" true (ratio <= 1.0 +. log delta +. 1e-9)
             | Some _ -> ()
@@ -189,7 +177,7 @@ let test_mis_k_valid () =
               check
                 (Printf.sprintf "%s u=%d k=%d" name u k)
                 true
-                (Dom_tree_k.is_k_dominating g ~k ~beta:1 t))
+                (Reference.is_k_dominating g ~k ~beta:1 ~root:u t))
             g)
         [ 1; 2; 3 ])
     standard_graphs
@@ -198,10 +186,10 @@ let test_mis_k_depth_at_most_2 () =
   let g = udg 61 60 in
   Graph.iter_vertices
     (fun u ->
-      let t = Dom_tree_k.mis_k g ~k:2 u in
+      let t = Reference.of_pairs ~root:u (Dom_tree_k.mis_k g ~k:2 u) in
       List.iter
-        (fun v -> check "depth <= 2" true (Tree.depth t v <= 2))
-        (Tree.vertices t))
+        (fun v -> check "depth <= 2" true (Reference.depth t v <= 2))
+        (Reference.vertices t))
     g
 
 let test_mis_k_size_on_udg () =
@@ -214,7 +202,7 @@ let test_mis_k_size_on_udg () =
       Graph.iter_vertices
         (fun u ->
           let t = Dom_tree_k.mis_k g ~k u in
-          check "O(k^2)" true (Tree.edge_count t <= 60 * k * (k + 1)))
+          check "O(k^2)" true (Array.length t / 2 <= 60 * k * (k + 1)))
         g)
     [ 1; 2; 3; 4 ]
 
@@ -223,7 +211,7 @@ let test_mis_k_2conn_theta () =
      a 4-cycle. From 0: v=1 at distance 2 with 2 disjoint branches. *)
   let g = Gen.theta 2 1 in
   let t = Dom_tree_k.mis_k g ~k:2 0 in
-  check_int "two branches" 2 (Dom_tree_k.disjoint_branch_count g t ~beta:1 1)
+  check_int "two branches" 2 (branches g ~beta:1 t 1)
 
 (* ---------------------------------------------------------------- *)
 (* extract_k21: constructive Proposition-4-premise audit *)
@@ -234,14 +222,14 @@ let test_extract_succeeds_on_two_connecting_output () =
       let h = Rs_core.Remote_spanner.two_connecting g in
       Graph.iter_vertices
         (fun u ->
-          match Dom_tree_k.extract_k21 g h ~k:2 u with
+          match Reference.extract_k21 g h ~k:2 u with
           | Some t ->
               check (Printf.sprintf "%s u=%d valid" name u) true
-                (Dom_tree_k.is_k_dominating g ~k:2 ~beta:1 t);
+                (Reference.is_k_dominating g ~k:2 ~beta:1 ~root:u t);
               (* the certificate must use only H edges *)
-              List.iter
-                (fun (p, c) -> check "edge in H" true (Rs_graph.Edge_set.mem h p c))
-                (Tree.edges t)
+              for i = 0 to (Array.length t / 2) - 1 do
+                check "edge in H" true (Rs_graph.Edge_set.mem h t.(2 * i) t.((2 * i) + 1))
+              done
           | None -> Alcotest.failf "%s u=%d: extraction failed" name u)
         g)
     standard_graphs
@@ -249,13 +237,13 @@ let test_extract_succeeds_on_two_connecting_output () =
 let test_extract_fails_on_empty_h () =
   let g = Gen.cycle 8 in
   let h = Rs_graph.Edge_set.create g in
-  check "no tree in empty H" true (Dom_tree_k.extract_k21 g h ~k:1 0 = None)
+  check "no tree in empty H" true (Reference.extract_k21 g h ~k:1 0 = None)
 
 let test_extract_trivial_when_no_sphere () =
   let g = Gen.complete 5 in
   let h = Rs_graph.Edge_set.create g in
-  (match Dom_tree_k.extract_k21 g h ~k:2 0 with
-  | Some t -> check_int "bare root suffices" 1 (Tree.size t)
+  (match Reference.extract_k21 g h ~k:2 0 with
+  | Some t -> check_int "bare root suffices" 0 (Array.length t)
   | None -> Alcotest.fail "trivial tree expected")
 
 let () =

@@ -1,4 +1,4 @@
-(* Unit tests for the graph substrate: Graph, Edge_set, Bfs, Path, Tree. *)
+(* Unit tests for the graph substrate: Graph, Edge_set, Bfs, Path. *)
 open Rs_graph
 
 let check = Alcotest.(check bool)
@@ -229,63 +229,6 @@ let test_path_of_parents () =
   Alcotest.(check (list int)) "of_parents" [ 0; 1; 2; 3 ] (Path.of_parents parent 3)
 
 (* ------------------------------------------------------------------ *)
-(* Tree *)
-
-let test_tree_basic () =
-  let t = Tree.create ~n:6 ~root:2 in
-  check_int "root" 2 (Tree.root t);
-  check_int "size" 1 (Tree.size t);
-  Tree.add_edge t ~parent:2 ~child:0;
-  Tree.add_edge t ~parent:0 ~child:4;
-  check_int "size 3" 3 (Tree.size t);
-  check_int "edges" 2 (Tree.edge_count t);
-  check_int "depth 4" 2 (Tree.depth t 4);
-  check_int "first hop 4" 0 (Tree.first_hop t 4);
-  Alcotest.(check (list int)) "path" [ 2; 0; 4 ] (Tree.path_from_root t 4)
-
-let test_tree_readd_same_edge () =
-  let t = Tree.create ~n:4 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:1;
-  Tree.add_edge t ~parent:0 ~child:1;
-  check_int "no dup" 2 (Tree.size t)
-
-let test_tree_conflicting_parent () =
-  let t = Tree.create ~n:4 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:1;
-  Tree.add_edge t ~parent:0 ~child:2;
-  Tree.add_edge t ~parent:1 ~child:3;
-  check "conflict" true
-    (match Tree.add_edge t ~parent:2 ~child:3 with
-    | () -> false
-    | exception Invalid_argument _ -> true)
-
-let test_tree_graft () =
-  let parent = Bfs.parents p5 0 in
-  let t = Tree.create ~n:5 ~root:0 in
-  Tree.graft_parents t parent 3;
-  check_int "grafted size" 4 (Tree.size t);
-  check_int "depth" 3 (Tree.depth t 3);
-  (* second graft reuses the existing prefix *)
-  Tree.graft_parents t parent 4;
-  check_int "size after 2nd" 5 (Tree.size t)
-
-let test_tree_edges_in () =
-  let t = Tree.create ~n:5 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:1;
-  check "in" true (Tree.edges_in p5 t);
-  let t2 = Tree.create ~n:5 ~root:0 in
-  Tree.add_edge t2 ~parent:0 ~child:3;
-  check "not in" false (Tree.edges_in p5 t2)
-
-let test_tree_add_to () =
-  let t = Tree.create ~n:5 ~root:0 in
-  Tree.add_edge t ~parent:0 ~child:1;
-  Tree.add_edge t ~parent:1 ~child:2;
-  let s = Edge_set.create p5 in
-  Tree.add_to s t;
-  check_int "added" 2 (Edge_set.cardinal s)
-
-(* ------------------------------------------------------------------ *)
 (* Heap *)
 
 module IntHeap = Heap.Make (Int)
@@ -469,15 +412,6 @@ let () =
           Alcotest.test_case "disjointness" `Quick test_path_disjoint;
           Alcotest.test_case "concat" `Quick test_path_concat;
           Alcotest.test_case "of_parents" `Quick test_path_of_parents;
-        ] );
-      ( "tree",
-        [
-          Alcotest.test_case "basics" `Quick test_tree_basic;
-          Alcotest.test_case "re-add same edge" `Quick test_tree_readd_same_edge;
-          Alcotest.test_case "conflicting parent" `Quick test_tree_conflicting_parent;
-          Alcotest.test_case "graft shortest paths" `Quick test_tree_graft;
-          Alcotest.test_case "edges_in" `Quick test_tree_edges_in;
-          Alcotest.test_case "add_to edge set" `Quick test_tree_add_to;
         ] );
       ( "heap",
         [

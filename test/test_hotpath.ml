@@ -116,7 +116,7 @@ let ref_greedy_multicover inst ~k =
 (* Pre-overhaul DomTreeGdy: double full BFS, per-layer eager cover. *)
 let ref_gdy g ~r ~beta u =
   let dist, parent = ref_bfs ~radius:(r + beta) g u in
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
+  let t = Reference.create ~root:u in
   for r' = 2 to r do
     let sphere = ref [] and annulus = ref [] in
     Graph.iter_vertices
@@ -158,7 +158,7 @@ let ref_gdy g ~r ~beta u =
         annulus;
       assert (!best >= 0);
       used.(!best) <- true;
-      Tree.graft_parents t parent annulus.(!best);
+      Reference.graft t (Array.get parent) annulus.(!best);
       Array.iter
         (fun e ->
           if alive.(e) then begin
@@ -168,12 +168,12 @@ let ref_gdy g ~r ~beta u =
         sets.(!best)
     done
   done;
-  t
+  Reference.pairs t
 
 (* Pre-overhaul DomTreeMIS: increasing (distance, id) over B(u,r)\B(u,1). *)
 let ref_mis g ~r u =
   let dist, parent = ref_bfs ~radius:r g u in
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
+  let t = Reference.create ~root:u in
   let b = ref [] in
   Graph.iter_vertices (fun v -> if dist.(v) >= 2 && dist.(v) <= r then b := v :: !b) g;
   let order = Array.of_list !b in
@@ -183,16 +183,16 @@ let ref_mis g ~r u =
   Array.iter
     (fun x ->
       if alive.(x) then begin
-        Tree.graft_parents t parent x;
+        Reference.graft t (Array.get parent) x;
         alive.(x) <- false;
         Array.iter (fun w -> alive.(w) <- false) (Graph.neighbors g x)
       end)
     order;
-  t
+  Reference.pairs t
 
 (* Pre-overhaul DomTreeGdy_{2,0,k}: eager max-coverage relay picking. *)
 let ref_gdy_k g ~k u =
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
+  let t = Reference.create ~root:u in
   let dist, _ = ref_bfs ~radius:2 g u in
   let common_in_m in_m v =
     Array.to_list (Graph.neighbors g v)
@@ -226,28 +226,28 @@ let ref_gdy_k g ~k u =
       (Graph.neighbors g u);
     assert (!best >= 0);
     in_m.(!best) <- true;
-    Tree.add_edge t ~parent:u ~child:!best;
+    Reference.add_edge t ~parent:u ~child:!best;
     Hashtbl.iter
       (fun v () -> if covered_enough v then Hashtbl.remove alive v)
       (Hashtbl.copy alive)
   done;
-  t
+  Reference.pairs t
 
 (* Pre-emit-core DomTreeMIS_{2,1,k}: Hashtbl sphere sets, membership
-   and first hops read off a [Tree.t] (the Dom_tree_k.mis_k body before
-   it moved onto the CSR emit core, verbatim apart from the sphere). *)
+   and first hops read off a growing tree (the Dom_tree_k.mis_k body
+   before it moved onto the CSR emit core, verbatim apart from the
+   sphere and the tree type). *)
 let ref_mis_k g ~k u =
   let common_neighbors g u v =
     Array.to_list (Graph.neighbors g v) |> List.filter (fun w -> Graph.mem_edge g u w)
   in
-  let disjoint_branch_count = Dom_tree_k.disjoint_branch_count in
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
+  let t = Reference.create ~root:u in
   let dist, _ = ref_bfs ~radius:2 g u in
   let s = Hashtbl.create 64 in
   Graph.iter_vertices (fun v -> if dist.(v) = 2 then Hashtbl.replace s v ()) g;
   let dominated v =
-    common_neighbors g u v |> List.for_all (fun w -> Tree.mem t w)
-    || disjoint_branch_count g t ~beta:1 v >= k
+    common_neighbors g u v |> List.for_all (fun w -> Reference.mem t w)
+    || Reference.branch_count g t ~beta:1 v >= k
   in
   let prune () =
     Hashtbl.iter (fun v () -> if dominated v then Hashtbl.remove s v) (Hashtbl.copy s)
@@ -265,15 +265,15 @@ let ref_mis_k g ~k u =
       if x < 0 then continue := false
       else begin
         let fresh =
-          common_neighbors g u x |> List.filter (fun y -> not (Tree.mem t y))
+          common_neighbors g u x |> List.filter (fun y -> not (Reference.mem t y))
         in
         assert (fresh <> []);
         let chosen = List.filteri (fun i _ -> i < k) fresh in
         (match chosen with
         | y1 :: rest ->
-            Tree.add_edge t ~parent:u ~child:y1;
-            if not (Tree.mem t x) then Tree.add_edge t ~parent:y1 ~child:x;
-            List.iter (fun y -> Tree.add_edge t ~parent:u ~child:y) rest
+            Reference.add_edge t ~parent:u ~child:y1;
+            if not (Reference.mem t x) then Reference.add_edge t ~parent:y1 ~child:x;
+            List.iter (fun y -> Reference.add_edge t ~parent:u ~child:y) rest
         | [] -> assert false);
         prune ();
         (* X := X \ B_G(x, 1) *)
@@ -283,12 +283,15 @@ let ref_mis_k g ~k u =
     done
   done;
   assert (Hashtbl.length s = 0);
-  t
+  Reference.pairs t
 
+(* same edge set; both are trees rooted at the same vertex, so depths
+   agree too *)
 let tree_equal t1 t2 =
-  Tree.root t1 = Tree.root t2
-  && List.sort compare (Tree.edges t1) = List.sort compare (Tree.edges t2)
-  && List.for_all (fun v -> Tree.depth t1 v = Tree.depth t2 v) (Tree.vertices t1)
+  let edges t =
+    List.sort compare (List.init (Array.length t / 2) (fun i -> (t.(2 * i), t.((2 * i) + 1))))
+  in
+  edges t1 = edges t2
 
 (* ---------- CSR core ---------- *)
 
@@ -481,21 +484,21 @@ let test_mis_k_matches_reference () =
         [ 1; 2; 3 ])
     (Lazy.force instances)
 
-(* Shared scratch across roots must not leak state between trees: the
-   whole spanner is identical to fresh-scratch-per-root. *)
+(* Shared scratch across roots and constructions must not leak state
+   between trees: every tree is identical to a fresh-scratch build. *)
 let test_scratch_reuse_identical_spanners () =
   List.iter
     (fun g ->
       let shared = Bfs.Scratch.create () in
-      let with_shared = Edge_set.create g in
-      let with_fresh = Edge_set.create g in
       Graph.iter_vertices
-        (fun u -> Tree.add_to with_shared (Dom_tree.gdy ~scratch:shared g ~r:3 ~beta:1 u))
-        g;
-      Graph.iter_vertices
-        (fun u -> Tree.add_to with_fresh (Dom_tree.gdy g ~r:3 ~beta:1 u))
-        g;
-      check "spanner identical" true (Edge_set.equal with_shared with_fresh))
+        (fun u ->
+          List.iter
+            (fun build -> check "tree identical" true (build (Some shared) u = build None u))
+            [ (fun scratch -> Dom_tree.gdy ?scratch g ~r:3 ~beta:1);
+              (fun scratch -> Dom_tree.mis ?scratch g ~r:3);
+              (fun scratch -> Dom_tree_k.gdy_k ?scratch g ~k:2);
+              (fun scratch -> Dom_tree_k.mis_k ?scratch g ~k:2) ])
+        g)
     (Lazy.force instances)
 
 let () =

@@ -154,8 +154,6 @@ let test_expiry_rejects_bad () =
    observable. *)
 
 module Ref_periodic = struct
-  module Tree = Rs_graph.Tree
-
   type entry = { seq : int; nbrs : int array; heard_at : int }
   type msg = { origin : int; mseq : int; mnbrs : int array; ttl : int }
 
@@ -205,14 +203,9 @@ module Ref_periodic = struct
         Array.iter (fun w -> edges := (o, Hashtbl.find fwd w) :: !edges) nbrs)
       lists;
     let local = Graph.make ~n:(Array.length vs) !edges in
-    let t_local = tree_of local (Hashtbl.find fwd u) in
-    let by_depth =
-      List.sort
-        (fun (p1, _) (p2, _) ->
-          compare (Tree.depth t_local p1, p1) (Tree.depth t_local p2, p2))
-        (Tree.edges t_local)
-    in
-    List.map (fun (p, c) -> canonical (vs.(p), vs.(c))) by_depth
+    let pairs = tree_of local (Hashtbl.find fwd u) in
+    List.init (Array.length pairs / 2) (fun i ->
+        canonical (vs.(pairs.(2 * i)), vs.(pairs.((2 * i) + 1))))
 
   let simulate ~initial ~events ~period ~radius ~horizon ~tree_of () =
     let n = Graph.n initial in
@@ -235,10 +228,11 @@ module Ref_periodic = struct
           let s =
             Graph.fold_vertices
               (fun acc u ->
+                let pairs = tree_of g u in
                 List.fold_left
-                  (fun acc e -> Pair_set.add e acc)
+                  (fun acc i -> Pair_set.add (canonical (pairs.(2 * i), pairs.((2 * i) + 1))) acc)
                   acc
-                  (List.map canonical (Tree.edges (tree_of g u))))
+                  (List.init (Array.length pairs / 2) Fun.id))
               Pair_set.empty g
           in
           Hashtbl.replace target_cache key s;

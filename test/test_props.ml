@@ -40,22 +40,25 @@ let prop_rem_span_eps1 g =
 
 let prop_gdy_trees_dominate g =
   Graph.fold_vertices
-    (fun acc u -> acc && Dom_tree.is_dominating g ~r:3 ~beta:0 (Dom_tree.gdy g ~r:3 ~beta:0 u))
+    (fun acc u ->
+      acc && Reference.is_dominating g ~r:3 ~beta:0 ~root:u (Dom_tree.gdy g ~r:3 ~beta:0 u))
     true g
 
 let prop_mis_trees_dominate g =
   Graph.fold_vertices
-    (fun acc u -> acc && Dom_tree.is_dominating g ~r:3 ~beta:1 (Dom_tree.mis g ~r:3 u))
+    (fun acc u -> acc && Reference.is_dominating g ~r:3 ~beta:1 ~root:u (Dom_tree.mis g ~r:3 u))
     true g
 
 let prop_gdy_k_trees g =
   Graph.fold_vertices
-    (fun acc u -> acc && Dom_tree_k.is_k_dominating g ~k:2 ~beta:0 (Dom_tree_k.gdy_k g ~k:2 u))
+    (fun acc u ->
+      acc && Reference.is_k_dominating g ~k:2 ~beta:0 ~root:u (Dom_tree_k.gdy_k g ~k:2 u))
     true g
 
 let prop_mis_k_trees g =
   Graph.fold_vertices
-    (fun acc u -> acc && Dom_tree_k.is_k_dominating g ~k:2 ~beta:1 (Dom_tree_k.mis_k g ~k:2 u))
+    (fun acc u ->
+      acc && Reference.is_k_dominating g ~k:2 ~beta:1 ~root:u (Dom_tree_k.mis_k g ~k:2 u))
     true g
 
 let prop_two_connecting g =
@@ -269,7 +272,7 @@ let () =
             (fun g ->
               let h = Remote_spanner.two_connecting g in
               Graph.fold_vertices
-                (fun acc u -> acc && Dom_tree_k.extract_k21 g h ~k:2 u <> None)
+                (fun acc u -> acc && Reference.extract_k21 g h ~k:2 u <> None)
                 true g);
           make_test ~count:15 "lossless lossy flood = reliable flood"
             (arb_graph ~max_n:25)

@@ -181,6 +181,23 @@ let test_distributed_equals_centralized_2conn () =
         (Edge_set.equal report.Remote_spanner.Distributed.spanner centralized))
     graphs
 
+(* No edges, no trees: on the empty graph and on an edgeless one every
+   distributed entry returns what its centralized counterpart does. *)
+let test_distributed_degenerate_graphs () =
+  List.iter
+    (fun (name, g) ->
+      let same what (report : Remote_spanner.Distributed.report) centralized =
+        check (name ^ " " ^ what) true
+          (Edge_set.equal report.Remote_spanner.Distributed.spanner centralized)
+      in
+      same "rem_span" (Remote_spanner.Distributed.rem_span g ~r:3 ~beta:1)
+        (Remote_spanner.rem_span g ~r:3 ~beta:1);
+      same "k_connecting" (Remote_spanner.Distributed.k_connecting g ~k:2)
+        (Remote_spanner.k_connecting g ~k:2);
+      same "two_connecting" (Remote_spanner.Distributed.two_connecting g)
+        (Remote_spanner.two_connecting g))
+    [ ("empty", Gen.empty 0); ("edgeless", Gen.empty 5) ]
+
 let test_distributed_round_count () =
   (* 2r - 1 + 2*beta rounds, independent of n *)
   List.iter
@@ -233,6 +250,7 @@ let () =
           Alcotest.test_case "gdy = centralized" `Quick test_distributed_equals_centralized_gdy;
           Alcotest.test_case "k-conn = centralized" `Quick test_distributed_equals_centralized_kconn;
           Alcotest.test_case "2-conn = centralized" `Quick test_distributed_equals_centralized_2conn;
+          Alcotest.test_case "empty and edgeless graphs" `Quick test_distributed_degenerate_graphs;
           Alcotest.test_case "round count 2r-1+2b" `Quick test_distributed_round_count;
           Alcotest.test_case "rounds per construction" `Quick test_distributed_round_counts_per_construction;
           Alcotest.test_case "messages scale with n" `Quick test_distributed_messages_grow_with_n;

@@ -1,8 +1,8 @@
 (* Sharded batched construction: for every strategy the merged edge
    set must equal the per-root sequential reference exactly, for every
-   domain count, batch width, root order and shard mode — and the
-   results must satisfy the constructions' remote-spanner
-   guarantees. *)
+   domain count and root order; every batched tree must equal its
+   per-root build pair for pair; and the results must satisfy the
+   constructions' remote-spanner guarantees. *)
 open Rs_graph
 open Rs_core
 
@@ -27,20 +27,26 @@ let arb_graph ~max_n =
 let make_test ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
 
-(* the per-root sequential reference for each strategy: one Tree.t per
-   root, unioned root by root *)
+(* the per-root entry point of each strategy *)
+let per_root ~scratch g = function
+  | Sharded.Gdy { r; beta } -> fun u -> Dom_tree.gdy ~scratch g ~r ~beta u
+  | Sharded.Mis { r } -> fun u -> Dom_tree.mis ~scratch g ~r u
+  | Sharded.Gdy_k { k } -> fun u -> Dom_tree_k.gdy_k ~scratch g ~k u
+  | Sharded.Mis_k { k } -> fun u -> Dom_tree_k.mis_k ~scratch g ~k u
+
+let add_pairs h pairs len =
+  for i = 0 to len - 1 do
+    Edge_set.add h pairs.(2 * i) pairs.((2 * i) + 1)
+  done
+
+(* the per-root sequential reference: one tree per root, unioned root
+   by root *)
 let reference g strat =
-  let scratch = Bfs.Scratch.create () in
-  let tree_of =
-    match strat with
-    | Sharded.Gdy { r; beta } -> fun u -> Dom_tree.gdy ~scratch g ~r ~beta u
-    | Sharded.Mis { r } -> fun u -> Dom_tree.mis ~scratch g ~r u
-    | Sharded.Gdy_k { k } -> fun u -> Dom_tree_k.gdy_k ~scratch g ~k u
-    | Sharded.Mis_k { k } -> fun u -> Dom_tree_k.mis_k ~scratch g ~k u
-  in
+  let tree_of = per_root ~scratch:(Bfs.Scratch.create ()) g strat in
   let h = Edge_set.create g in
   for u = 0 to Graph.n g - 1 do
-    Tree.add_to h (tree_of u)
+    let pairs = tree_of u in
+    add_pairs h pairs (Array.length pairs / 2)
   done;
   h
 
@@ -61,11 +67,16 @@ let prop_matches_reference g =
       Edge_set.equal (reference g strat) (Sharded.build ~domains:1 g strat))
     strategies
 
-(* shard-merge determinism: same edge set for every domain count,
-   batch width, root order and the local (halo sub-graph) mode *)
+(* shard-merge determinism: same edge set for every domain count, and
+   for the batched trees of the roots in reversed order (so every
+   batch holds other roots) *)
 let prop_deterministic g =
   let n = Graph.n g in
-  let reversed = Array.init n (fun i -> n - 1 - i) in
+  let reversed strat =
+    let h = Edge_set.create g in
+    Sharded.iter_trees g strat (Array.init n (fun i -> n - 1 - i)) (fun _ -> add_pairs h);
+    h
+  in
   List.for_all
     (fun strat ->
       let expect = reference g strat in
@@ -76,19 +87,25 @@ let prop_deterministic g =
           (fun () -> Sharded.build ~domains:2 g strat);
           (fun () -> Sharded.build ~domains:3 g strat);
           (fun () -> Sharded.build ~domains:5 g strat);
-          (fun () -> Sharded.build ~domains:2 ~chunk:1 g strat);
-          (fun () -> Sharded.build ~domains:2 ~chunk:7 g strat);
-          (fun () -> Sharded.build ~domains:2 ~order:reversed g strat);
-          (fun () -> Sharded.build ~domains:2 ~local:true g strat);
-          (fun () -> Sharded.build ~domains:1 ~local:true ~chunk:5 g strat);
+          (fun () -> reversed strat);
         ])
     [ Sharded.Gdy_k { k = 1 }; Sharded.Mis_k { k = 2 }; Sharded.Mis_k { k = 3 } ]
 
-let prop_local_mode_all_strategies g =
+(* Tree by tree, not just the union (where differences between roots
+   could cancel out): for every strategy and root, the per-root entry
+   point returns exactly the pairs [iter_trees] hands over, in the
+   same emission order, and the local certificate accepts them. *)
+let prop_per_root_equals_batched g =
+  let scratch = Bfs.Scratch.create () and cert = Certificate.create () in
   List.for_all
     (fun (_, strat) ->
-      Edge_set.equal (reference g strat)
-        (Sharded.build ~domains:2 ~local:true g strat))
+      let tree_of = per_root ~scratch g strat in
+      let ok = ref true in
+      Sharded.iter_trees g strat (Array.init (Graph.n g) Fun.id) (fun root pairs len ->
+          let batched = Array.sub pairs 0 (2 * len) in
+          ok :=
+            !ok && tree_of root = batched && Certificate.check cert g strat ~root batched);
+      !ok)
     strategies
 
 let prop_is_remote_spanner g =
@@ -117,25 +134,6 @@ let test_strategies_on_fixed_graphs () =
         strategies)
     gs
 
-let test_grid_order_is_permutation () =
-  let rand = Rand.create 5 in
-  let pts = Rs_geometry.Sampler.uniform rand ~n:200 ~dim:2 ~side:7.0 in
-  let order = Rs_geometry.Proximity.grid_order pts in
-  check_int "length" 200 (Array.length order);
-  let seen = Array.make 200 false in
-  Array.iter
-    (fun v ->
-      check "in range" true (v >= 0 && v < 200);
-      check "no dup" false seen.(v);
-      seen.(v) <- true)
-    order;
-  (* and it is a valid Sharded order producing the reference set *)
-  let g = Rs_geometry.Unit_ball.udg pts in
-  let strat = Sharded.Gdy_k { k = 1 } in
-  check "grid order same result" true
-    (Edge_set.equal (reference g strat)
-       (Sharded.build ~domains:2 ~order g strat))
-
 let test_empty_and_tiny () =
   let g0 = Gen.empty 0 in
   check_int "empty" 0
@@ -149,14 +147,6 @@ let test_empty_and_tiny () =
 let test_bad_arguments () =
   let g = Gen.cycle 8 in
   let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
-  check "bad order length" true
-    (raises (fun () -> Sharded.build ~order:[| 0; 1 |] g (Sharded.Gdy_k { k = 1 })));
-  check "duplicate in order" true
-    (raises (fun () ->
-         Sharded.build ~order:[| 0; 1; 2; 3; 4; 5; 6; 6 |] g (Sharded.Gdy_k { k = 1 })));
-  check "out-of-range in order" true
-    (raises (fun () ->
-         Sharded.build ~order:[| 0; 1; 2; 3; 4; 5; 6; 8 |] g (Sharded.Gdy_k { k = 1 })));
   check "bad r" true (raises (fun () -> Sharded.build g (Sharded.Gdy { r = 0; beta = 1 })));
   check "bad k" true (raises (fun () -> Sharded.build g (Sharded.Gdy_k { k = 0 })));
   check "bad mis_k k" true (raises (fun () -> Sharded.build g (Sharded.Mis_k { k = 0 })))
@@ -168,10 +158,10 @@ let () =
         [
           make_test "every strategy matches per-root reference"
             (arb_graph ~max_n:50) prop_matches_reference;
-          make_test ~count:25 "deterministic across domains/order/chunk/local"
+          make_test ~count:25 "deterministic across domains/order/chunking"
             (arb_graph ~max_n:60) prop_deterministic;
-          make_test ~count:20 "local mode matches for every strategy"
-            (arb_graph ~max_n:40) prop_local_mode_all_strategies;
+          make_test ~count:25 "per-root trees = batched trees, pair for pair"
+            (arb_graph ~max_n:60) prop_per_root_equals_batched;
           make_test ~count:20 "verified remote-spanner guarantees"
             (arb_graph ~max_n:40) prop_is_remote_spanner;
         ] );
@@ -179,8 +169,6 @@ let () =
         [
           Alcotest.test_case "fixed graphs, all strategies" `Quick
             test_strategies_on_fixed_graphs;
-          Alcotest.test_case "geometry grid order" `Quick
-            test_grid_order_is_permutation;
           Alcotest.test_case "empty and tiny" `Quick test_empty_and_tiny;
           Alcotest.test_case "invalid arguments" `Quick test_bad_arguments;
         ] );

@@ -142,9 +142,9 @@ let test_restore_equivalence () =
       check "spanner equal" true (Edge_set.equal (Repair.spanner st) (Repair.spanner st')))
     all_specs
 
-(* The persisted per-root trees are exactly the per-root constructions
-   (one Tree.t per root), listed shallow-first by (child depth, child):
-   snapshots stay byte-identical to the per-root implementation. *)
+(* The persisted per-root trees are exactly the per-root constructions,
+   listed shallow-first by (child depth, child): snapshots stay
+   byte-identical to the per-root implementation. *)
 let test_export_trees_reference () =
   let module Dom_tree = Rs_core.Dom_tree in
   let module Dom_tree_k = Rs_core.Dom_tree_k in
@@ -157,8 +157,9 @@ let test_export_trees_reference () =
       | Repair.Gdy_k { k } -> Dom_tree_k.gdy_k ~scratch g ~k u
       | Repair.Mis_k { k } -> Dom_tree_k.mis_k ~scratch g ~k u
     in
-    Tree.edges tree
-    |> List.map (fun (p, c) -> (Tree.depth tree c, c, p))
+    let tree = Reference.of_pairs ~root:u tree in
+    Reference.edges tree
+    |> List.map (fun (p, c) -> (Reference.depth tree c, c, p))
     |> List.sort compare
     |> List.map (fun (_, c, p) -> (p, c))
   in
