@@ -239,9 +239,7 @@ let replica_catchup ~n ~deltas rows =
     in
     offer ()
   done;
-  while not (Service.idle svc) do
-    Unix.sleepf 0.002
-  done;
+  ignore (Service.wait_idle svc);
   let t0 = now () in
   let r =
     match

@@ -45,10 +45,10 @@ let obs_dump_json path =
         output_char oc '\n')
   with Sys_error msg -> Printf.eprintf "rspan: cannot write stats: %s\n" msg
 
-(* --stats-every runs a ticker domain that appends one JSONL registry
-   delta per period (and a final delta at exit). Only the ticker writes
-   to the channel; at_exit joins it before closing, so the lines never
-   interleave. *)
+(* --stats-every runs a ticker systhread (it only sleeps, so it takes
+   no domain) that appends one JSONL registry delta per period; at_exit
+   writes the final delta. One lock keeps the lines whole; the ticker
+   is never joined and ends with the process. *)
 let obs_periodic path period =
   if period <= 0.0 then begin
     prerr_endline "rspan: --stats-every must be positive";
@@ -59,37 +59,27 @@ let obs_periodic path period =
       Printf.eprintf "rspan: cannot write stats: %s\n" msg;
       exit 124
   | oc ->
-      let stop = Atomic.make false in
-      let ticker =
-        Domain.spawn (fun () ->
-            let prev = ref None in
-            let tick () =
-              let next = Obs.snapshot () in
-              output_string oc (Json.to_string (Obs.delta_json ?prev:!prev next));
-              output_char oc '\n';
-              flush oc;
-              prev := Some next
-            in
-            (* sleep in short slices so exit is prompt *)
-            let rec loop slept =
-              if not (Atomic.get stop) then
-                if slept >= period then begin
-                  tick ();
-                  loop 0.0
-                end
-                else begin
-                  let d = Float.min 0.05 (period -. slept) in
-                  Unix.sleepf d;
-                  loop (slept +. d)
-                end
-            in
-            loop 0.0;
-            tick ())
+      let m = Mutex.create () and closed = ref false and prev = ref None in
+      let tick () =
+        let next = Obs.snapshot () in
+        output_string oc (Json.to_string (Obs.delta_json ?prev:!prev next));
+        output_char oc '\n';
+        flush oc;
+        prev := Some next
       in
+      (* on an absolute schedule: waiting for a busy main domain to
+         yield must not stretch every later period *)
+      let rec ticker next =
+        Thread.delay (Float.max 0. (next -. Unix.gettimeofday ()));
+        let live = Mutex.protect m (fun () -> if not !closed then tick (); not !closed) in
+        if live then ticker (next +. period)
+      in
+      ignore (Thread.create ticker (Unix.gettimeofday () +. period));
       at_exit (fun () ->
-          Atomic.set stop true;
-          Domain.join ticker;
-          close_out_noerr oc)
+          Mutex.protect m (fun () ->
+              closed := true;
+              tick ();
+              close_out_noerr oc))
 
 let obs_setup dest every =
   match dest with
@@ -1426,7 +1416,7 @@ let bind_addr ~cmd = function
    session ends. The stdin/script path and the TCP front evaluate lines
    through the same Proto grammar, so replies are byte-identical on
    either transport. [tick] runs before every line and every poll. *)
-let session ~cmd ~service ~ready ~on_delta ~status_suffix ~bound ~store_dir ~announce ~script
+let session ~cmd ~service ~ready ~on_delta ~bound ~store_dir ~announce ~script
     ~resident ?(tick = ignore) ~finish () =
   let stop = Atomic.make false in
   let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
@@ -1434,7 +1424,7 @@ let session ~cmd ~service ~ready ~on_delta ~status_suffix ~bound ~store_dir ~ann
   let old_int = Sys.signal Sys.sigint handler in
   ready ();
   let env =
-    { Rs_net.Proto.service; on_delta; stopped = (fun () -> Atomic.get stop); status_suffix }
+    { Rs_net.Proto.service; on_delta; stopped = (fun () -> Atomic.get stop) }
   in
   let front =
     Option.bind bound (fun (host, port, server) ->
@@ -1537,7 +1527,9 @@ let serve_cmd =
     Arg.(
       value & opt float 5.0
       & info [ "watchdog" ] ~docv:"SECS"
-          ~doc:"Writer heartbeat staleness declaring it wedged; 0 disables the watchdog.")
+          ~doc:
+            "How long one writer batch may run before the writer is declared wedged; 0 \
+             disables the watchdog.")
   in
   let health_arg =
     session_opt "health-file" ~docv:"FILE"
@@ -1596,7 +1588,6 @@ let serve_cmd =
                 m "serve: ready at seq %d (n=%d m=%d, readers=%d)" (Service.view_seq svc)
                   (Graph.n g0) (Graph.m g0) readers))
           ~on_delta:(Service.offer svc)
-          ~status_suffix:(fun () -> "")
           ~bound ~store_dir:wal
           ~announce:(fun h ld ->
             Printf.sprintf "tcp on %s:%d (epoch %d, %s)" h (Repl.leader_port ld)
@@ -1737,7 +1728,6 @@ let replica_cmd =
                   Error
                     (Printf.sprintf
                        "replica is read-only: offer deltas to the leader at %s:%d" lhost lport))
-                ~status_suffix:(fun () -> Repl.status_suffix r)
                 ~bound ~store_dir:None
                 ~announce:(fun h ld -> Printf.sprintf "tcp queries on %s:%d" h (Repl.leader_port ld))
                 ~script ~resident:true ~tick

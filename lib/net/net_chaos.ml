@@ -81,9 +81,9 @@ let feed svc rand expected ~from_ ~upto =
   done
 
 let wait_caught_up ?(timeout = 30.0) ~what r target =
-  wait_until ~timeout ~what (fun () ->
-      let svc = Repl.replica_service r in
-      Service.ingested_seq svc >= target && Service.idle svc)
+  let svc = Repl.replica_service r and timeout_s = timeout in
+  if not (Service.wait_ingested ~timeout_s svc target && Service.wait_idle ~timeout_s svc) then
+    failwith ("timed out waiting for " ^ what)
 
 (* exact equality is the no-gap/no-double-apply gate: a skipped record
    leaves the replica short, a re-applied one pushes it past *)
@@ -176,8 +176,8 @@ let torn_snapshot_ship ~rand ~specs ~n ~batches ~dir =
   let port = Repl.leader_port ld in
   let expected = Array.make (batches + 3) g0 in
   feed svc rand expected ~from_:1 ~upto:batches;
-  wait_until ~what:"leader quiescence before the snapshot" (fun () ->
-      Service.idle svc);
+  if not (Service.wait_idle ~timeout_s:20.0 svc) then
+    failwith "timed out waiting for leader quiescence before the snapshot";
   let snap_path = Store.write_snapshot store in
   let total = (Unix.stat snap_path).Unix.st_size in
   let part = Filename.concat rdir (Filename.basename snap_path ^ ".part") in

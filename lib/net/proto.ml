@@ -7,7 +7,6 @@ type env = {
   service : Service.t;
   on_delta : Delta.t -> (unit, string) result;
   stopped : unit -> bool;
-  status_suffix : unit -> string;
 }
 
 let leader_env service =
@@ -15,7 +14,6 @@ let leader_env service =
     service;
     on_delta = (fun d -> Service.offer service d);
     stopped = (fun () -> false);
-    status_suffix = (fun () -> "");
   }
 
 (* Formats below are pinned by test/cli.t — the stdin path printed
@@ -58,7 +56,7 @@ let exec env line =
       in
       match parts with
       | [ "quit" ] -> Quit
-      | [ "status" ] -> Reply (Service.health svc ^ env.status_suffix ())
+      | [ "status" ] -> Reply (Service.health svc)
       | [ "stats" ] -> Reply (format_response "stats" (Service.query svc Service.Stats))
       | [ "route"; a; b ] ->
           Reply
@@ -84,16 +82,7 @@ let exec env line =
               | Ok () -> Reply "delta accepted"
               | Error reason -> Reply (Printf.sprintf "delta rejected: %s" reason)))
       | [ "drain" ] ->
-          let deadline_at = Unix.gettimeofday () +. 60.0 in
-          let rec wait timed_out =
-            if env.stopped () || Service.idle svc then timed_out
-            else if Unix.gettimeofday () > deadline_at then true
-            else begin
-              Unix.sleepf 0.01;
-              wait timed_out
-            end
-          in
-          let timed_out = wait false in
+          let timed_out = not (Service.wait_idle ~timeout_s:60.0 ~cancel:env.stopped svc) in
           let drained = Printf.sprintf "drained at seq %d" (Service.view_seq svc) in
           Reply (if timed_out then "drain: timed out\n" ^ drained else drained)
       | [ "sleep"; s ] -> (

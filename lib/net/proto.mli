@@ -17,14 +17,11 @@ type env = {
       (** how a [delta] line is admitted — the leader offers it to the
           service; a replica rejects it with a read-only reason *)
   stopped : unit -> bool;  (** external shutdown, checked while draining *)
-  status_suffix : unit -> string;
-      (** appended to the [status] health line (replicas advertise
-          [" lag=N"] here); [""] for a leader *)
 }
 
 val leader_env : Rs_serve.Service.t -> env
 (** The standard writable environment: deltas are offered to the
-    service, no status suffix, never externally stopped. *)
+    service, never externally stopped. *)
 
 val exec : env -> string -> outcome
 (** Evaluate one request line: [status], [stats], [route A B],

@@ -143,7 +143,7 @@ let tail_seek t =
           else false)
 
 (* New complete records as (seq, raw record bytes); [] when idle. *)
-let tail_poll t =
+let rec tail_poll t =
   let ready = match t.t_file with Some _ -> true | None -> tail_seek t in
   if not ready then []
   else begin
@@ -174,12 +174,12 @@ let tail_poll t =
     end
     else begin
       (* rotation: a fresh segment starting exactly at the next seq *)
-      (match List.assoc_opt t.t_next (Wal.segment_files ~dir:t.t_dir) with
+      match List.assoc_opt t.t_next (Wal.segment_files ~dir:t.t_dir) with
       | Some path' when t.t_file <> Some path' ->
           t.t_file <- Some path';
-          t.t_offset <- Wal.header_len
-      | _ -> ());
-      []
+          t.t_offset <- Wal.header_len;
+          tail_poll t
+      | _ -> []
     end
   end
 
@@ -213,7 +213,24 @@ type leader = {
   l_server : Tcp.server;
   l_followers : int Atomic.t;
   l_stop : bool Atomic.t;
+  l_subs_m : Mutex.t;
+  mutable l_subs : string Bqueue.t list;  (* under l_subs_m: each follower's send queue *)
 }
+
+let with_subs ld f = Mutex.protect ld.l_subs_m (fun () -> ld.l_subs <- f ld.l_subs)
+
+(* The leader's one timed loop: a heartbeat with the leader's seq into
+   every follower's send queue (a full one is being sent records), so a
+   replica tells a quiet leader from a dead link. Ends, unjoined,
+   within one period of [stop_leader]. *)
+let heartbeats ld () =
+  while not (Atomic.get ld.l_stop) do
+    Unix.sleepf ld.l_cfg.heartbeat_s;
+    let beat = msg_heartbeat ~epoch:ld.l_epoch ~seq:(Service.ingested_seq ld.l_service) in
+    with_subs ld (fun subs ->
+        List.iter (fun q -> if Bqueue.push q beat = Ok () then Obs.incr c_heartbeats) subs;
+        subs)
+  done
 
 let send_quiet ld fd payload =
   ignore (Frame.send fd ~timeout_s:ld.l_cfg.frame_timeout_s payload)
@@ -294,9 +311,10 @@ let ship_session ld dir fd hello =
 
 (* One WAL subscription: a tailer thread feeds a bounded send queue, a
    sender thread drains it to the socket, and the connection's own
-   thread sits in recv to notice the peer going away. The bounded
-   queue is the overload contract: a replica that cannot drain frames
-   as fast as the writer produces them is disconnected with an
+   thread sits in recv to notice the peer going away; each blocks
+   until it has work, and each way out wakes the other two. The
+   bounded queue is the overload contract: a replica that cannot drain
+   frames as fast as the writer produces them is disconnected with an
    explicit reason — the leader's memory per follower is
    [send_capacity] frames, full stop. *)
 let stream_session ld dir fd hello =
@@ -337,6 +355,7 @@ let stream_session ld dir fd hello =
           | Ok () ->
               let nf = Atomic.fetch_and_add ld.l_followers 1 + 1 in
               Obs.set_gauge g_followers (float_of_int nf);
+              let svc = ld.l_service in
               let q = Bqueue.create ~capacity:ld.l_cfg.send_capacity in
               let overflow = Atomic.make false in
               let stop_conn = Atomic.make false in
@@ -344,7 +363,6 @@ let stream_session ld dir fd hello =
               let tailer =
                 Thread.create (fun () ->
                     let t = tail_create dir (have_seq + 1) in
-                    let last_beat = ref (Unix.gettimeofday ()) in
                     (* A full queue is not yet overload: a replica
                        resuming with a backlog larger than the buffer
                        fills it instantly and legitimately. Overflow
@@ -374,89 +392,81 @@ let stream_session ld dir fd hello =
                       in
                       go ()
                     in
+                    (* records up to [seen] are in the file (the writer
+                       acks after appending): an empty read waits for the
+                       next ack, a non-empty one may stop at a rotation *)
                     let rec loop () =
-                      if stopping () || Atomic.get overflow then ()
-                      else begin
-                        let records = tail_poll t in
-                        let ok =
-                          List.for_all
-                            (fun (_, raw) ->
-                              let ok = push (msg_record ~epoch:ld.l_epoch raw) in
-                              if ok then Obs.incr c_records_streamed;
-                              ok)
-                            records
-                        in
-                        if ok then begin
-                          if records = [] then begin
-                            let now = Unix.gettimeofday () in
-                            if now -. !last_beat >= ld.l_cfg.heartbeat_s then begin
-                              last_beat := now;
-                              if
-                                push
-                                  (msg_heartbeat ~epoch:ld.l_epoch
-                                     ~seq:(Service.ingested_seq ld.l_service))
-                              then Obs.incr c_heartbeats
-                            end;
-                            Unix.sleepf 0.01
-                          end;
-                          loop ()
-                        end
-                      end
+                      let seen = Service.ingested_seq svc in
+                      let records = tail_poll t in
+                      let pushed =
+                        List.for_all
+                          (fun (_, raw) ->
+                            let ok = push (msg_record ~epoch:ld.l_epoch raw) in
+                            if ok then Obs.incr c_records_streamed;
+                            ok)
+                          records
+                      in
+                      if
+                        pushed
+                        && (records <> []
+                           || Service.await svc (fun () ->
+                                  stopping () || Service.ingested_seq svc > seen))
+                        && not (stopping ())
+                      then loop ()
                     in
-                    loop ()) ()
+                    loop ();
+                    (* overflow, stop or a killed service: wake the sender *)
+                    Bqueue.close q) ()
               in
               let sender =
                 Thread.create (fun () ->
-                    let rec loop () =
-                      if Atomic.get overflow then begin
-                        (* don't drain the backlog into a replica that
-                           already proved too slow: say why, hang up *)
-                        send_quiet ld fd
-                          (msg_err
-                             (Printf.sprintf
-                                "send buffer overflow (capacity %d frames): replica \
-                                 too slow, disconnecting"
-                                ld.l_cfg.send_capacity));
-                        Atomic.set stop_conn true;
-                        shutdown_quiet fd
-                      end
-                      else if stopping () && Bqueue.length q = 0 then ()
-                      else begin
-                        let batch = Bqueue.pop_batch q ~max:32 ~timeout_s:0.05 in
-                        let rec send_all = function
-                          | [] -> true
-                          | payload :: rest ->
-                              let d = Atomic.get ld.l_cfg.sender_delay_s in
-                              if d > 0. then Unix.sleepf d;
-                              if Atomic.get overflow then false
-                              else (
-                                match
-                                  Frame.send fd ~timeout_s:ld.l_cfg.frame_timeout_s
-                                    payload
-                                with
-                                | Ok () -> send_all rest
-                                | Error _ ->
-                                    Atomic.set stop_conn true;
-                                    false)
-                        in
-                        if send_all batch then loop () else if Atomic.get overflow then loop ()
-                      end
+                    let rec send_all = function
+                      | [] -> true
+                      | payload :: rest -> (
+                          let d = Atomic.get ld.l_cfg.sender_delay_s in
+                          if d > 0. then Unix.sleepf d;
+                          (not (Atomic.get overflow))
+                          &&
+                          match
+                            Frame.send fd ~timeout_s:ld.l_cfg.frame_timeout_s payload
+                          with
+                          | Ok () -> send_all rest
+                          | Error _ -> false)
                     in
-                    loop ()) ()
+                    let rec loop () =
+                      match Bqueue.pop_batch q ~max:32 with
+                      | [] -> () (* closed and drained *)
+                      | batch -> if send_all batch then loop ()
+                    in
+                    loop ();
+                    if Atomic.get overflow then
+                      (* don't drain the backlog into a replica that
+                         already proved too slow: say why, hang up *)
+                      send_quiet ld fd
+                        (msg_err
+                           (Printf.sprintf
+                              "send buffer overflow (capacity %d frames): replica \
+                               too slow, disconnecting"
+                              ld.l_cfg.send_capacity));
+                    Atomic.set stop_conn true;
+                    shutdown_quiet fd) ()
               in
+              with_subs ld (List.cons q);
               (* the subscriber never speaks after the handshake; recv is
-                 purely how we learn the connection died *)
+                 purely how we learn the connection died, and every end
+                 of the session shuts the socket down *)
               let rec watch () =
-                if stopping () then ()
-                else
-                  match Frame.recv fd ~timeout_s:0.25 with
-                  | Error Frame.Timeout -> watch ()
-                  | Error (Frame.Closed | Frame.Corrupt _) -> Atomic.set stop_conn true
-                  | Ok _ -> watch ()
+                (* in effect no deadline: whatever ends the session
+                   shuts the socket down *)
+                match Frame.recv fd ~timeout_s:3600. with
+                | Error Frame.Timeout | Ok _ -> if not (stopping ()) then watch ()
+                | Error (Frame.Closed | Frame.Corrupt _) -> ()
               in
               watch ();
+              with_subs ld (List.filter (fun q' -> q' != q));
               Atomic.set stop_conn true;
               Bqueue.close q;
+              Service.wake svc;
               Thread.join tailer;
               Thread.join sender;
               let nf = Atomic.fetch_and_add ld.l_followers (-1) - 1 in
@@ -490,8 +500,11 @@ let lead ?config ?proto_env ?server ~service ~store_dir ~host ~port () =
           l_server = server;
           l_followers = Atomic.make 0;
           l_stop = Atomic.make false;
+          l_subs_m = Mutex.create ();
+          l_subs = [];
         }
       in
+      if store_dir <> None then ignore (Thread.create (heartbeats ld) ());
       Tcp.serve server (fun fd ->
           match Frame.recv fd ~timeout_s:l_cfg.frame_timeout_s with
           | Error _ -> ()
@@ -724,14 +737,8 @@ let connected r = Atomic.get r.r_connected
 let gave_up r = Atomic.get r.r_gave_up
 let reconnects r = Atomic.get r.r_reconnects
 
-let lag r =
-  let l = Atomic.get r.r_leader_seq - Service.ingested_seq r.r_service in
-  max 0 l
-
-let status_suffix r =
-  Printf.sprintf " role=replica leader_seq=%d lag=%d connected=%b epoch=%d"
-    (Atomic.get r.r_leader_seq) (lag r) (connected r)
-    (Atomic.get r.r_epoch)
+let lag_of leader_seq svc = max 0 (Atomic.get leader_seq - Service.ingested_seq svc)
+let lag r = lag_of r.r_leader_seq r.r_service
 
 let note_lag r =
   Obs.set_gauge g_lag (float_of_int (lag r));
@@ -823,6 +830,7 @@ let stream r fd session_epoch have =
 let follower r () =
   let rand = Rand.create r.r_cfg.seed in
   let attempts = ref 0 in
+  let stopping () = Atomic.get r.r_stop in
   let backoff () =
     incr attempts;
     if !attempts > r.r_cfg.max_retries then begin
@@ -833,19 +841,14 @@ let follower r () =
       let base = r.r_cfg.reconnect_base_s *. (2. ** float_of_int (!attempts - 1)) in
       let capped = Float.min base r.r_cfg.reconnect_max_s in
       let jitter = capped *. 0.5 *. (float_of_int (Rand.int rand 1000) /. 1000.) in
-      let until = Unix.gettimeofday () +. capped +. jitter in
-      while Unix.gettimeofday () < until && not (Atomic.get r.r_stop) do
-        Unix.sleepf 0.01
-      done;
+      ignore (Service.await ~timeout_s:(capped +. jitter) r.r_service stopping);
       false
     end
   in
   let ( let* ) = Result.bind in
   let frame_err what res = Result.map_error (fun e -> what ^ Frame.error_to_string e) res in
   let session fd =
-    while (not (Service.idle r.r_service)) && not (Atomic.get r.r_stop) do
-      Unix.sleepf 0.005
-    done;
+    ignore (Service.wait_idle ~cancel:stopping r.r_service);
     let have = Service.ingested_seq r.r_service in
     let hello = msg_join ~epoch:(Atomic.get r.r_epoch) ~have_seq:have in
     let* () = frame_err "join: " (Frame.send fd ~timeout_s:r.r_cfg.r_frame_timeout_s hello) in
@@ -903,30 +906,6 @@ let follower r () =
   Atomic.set r.r_connected false;
   note_lag r
 
-let health_writer r ~path ~every_s () =
-  let write () =
-    let line = Service.health r.r_service ^ status_suffix r in
-    let tmp = path ^ ".tmp" in
-    try
-      Out_channel.with_open_text tmp (fun oc ->
-          Out_channel.output_string oc (line ^ "\n"));
-      Sys.rename tmp path
-    with Sys_error _ -> ()
-  in
-  write ();
-  let rec loop () =
-    if Atomic.get r.r_stop then write ()
-    else begin
-      let until = Unix.gettimeofday () +. every_s in
-      while Unix.gettimeofday () < until && not (Atomic.get r.r_stop) do
-        Unix.sleepf 0.02
-      done;
-      write ();
-      loop ()
-    end
-  in
-  loop ()
-
 let follow ?config ?health_file ~service_config ~dir ~host ~port () =
   let cfg = match config with Some c -> c | None -> default_replica_config () in
   Rs_store.Harness.mkdir_p dir;
@@ -951,10 +930,20 @@ let follow ?config ?health_file ~service_config ~dir ~host ~port () =
       match Store.recover ~policy:cfg.fsync ~verify:false ~dir () with
       | exception Failure m -> Error ("replica recover failed: " ^ m)
       | store, _recovery ->
-          let svc_cfg =
-            { service_config with Service.batch_max = 1; health_file = None }
+          let epoch = Atomic.make (read_epoch ~dir) in
+          let leader_seq = Atomic.make (Store.seq store) in
+          let connected = Atomic.make false in
+          (* the service's own clock writes the health file, this suffix included *)
+          let health_suffix svc =
+            Printf.sprintf " role=replica leader_seq=%d lag=%d connected=%b epoch=%d"
+              (Atomic.get leader_seq) (lag_of leader_seq svc) (Atomic.get connected)
+              (Atomic.get epoch)
           in
-          let svc = Service.start svc_cfg (Service.Durable store) in
+          let svc =
+            Service.start ~health_suffix
+              { service_config with Service.batch_max = 1; health_file }
+              (Service.Durable store)
+          in
           let r =
             {
               r_cfg = cfg;
@@ -962,9 +951,9 @@ let follow ?config ?health_file ~service_config ~dir ~host ~port () =
               r_host = host;
               r_port = port;
               r_service = svc;
-              r_epoch = Atomic.make (read_epoch ~dir);
-              r_leader_seq = Atomic.make (Service.ingested_seq svc);
-              r_connected = Atomic.make false;
+              r_epoch = epoch;
+              r_leader_seq = leader_seq;
+              r_connected = connected;
               r_ever_connected = Atomic.make false;
               r_reconnects = Atomic.make 0;
               r_gave_up = Atomic.make false;
@@ -975,20 +964,14 @@ let follow ?config ?health_file ~service_config ~dir ~host ~port () =
               r_threads = [];
             }
           in
-          let health =
-            Option.map
-              (fun path ->
-                Thread.create
-                  (health_writer r ~path ~every_s:svc_cfg.Service.health_every_s) ())
-              health_file
-          in
-          r.r_threads <- Thread.create (follower r) () :: Option.to_list health;
+          r.r_threads <- [ Thread.create (follower r) () ];
           Ok r)
 
 (* Idempotent, and joins even when the follower already stopped itself
    (a rejected apply sets [r_stop]): the thread list is taken once. *)
 let detach r =
   Atomic.set r.r_stop true;
+  Service.wake r.r_service;
   Mutex.lock r.r_err_m;
   (* wake a blocked recv *)
   Option.iter shutdown_quiet r.r_fd;
@@ -1001,10 +984,7 @@ let promote r =
   detach r;
   (* everything the follower offered must be folded in before the
      epoch changes hands *)
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  while (not (Service.idle r.r_service)) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.005
-  done;
+  ignore (Service.wait_idle ~timeout_s:30.0 r.r_service);
   let e = Atomic.get r.r_epoch + 1 in
   Atomic.set r.r_epoch e;
   write_epoch ~dir:r.r_dir e;

@@ -45,10 +45,14 @@
 
     Everything here waits on I/O, so it runs on systhreads in the
     caller's domain: each connection (query, ship or subscription),
-    each follower's WAL tailer and sender, the replica's follower and
-    its health writer. The service's writer and readers are the only
-    domains, so a process's domain count does not grow with its
-    connections or followers. *)
+    each follower's WAL tailer and sender, the leader's heartbeat
+    clock, the replica's follower. The service's
+    writer and readers are the only domains, so a process's domain
+    count does not grow with its connections or followers. None of
+    them polls: a tailer re-reads the WAL file only once
+    {!Rs_serve.Service.await} sees a newly acked record, and the
+    leader's one timed loop queues a heartbeat for every follower each
+    [heartbeat_s]. *)
 
 (** {1 Epoch fencing} *)
 
@@ -62,7 +66,7 @@ val write_epoch : dir:string -> int -> unit
 
 type leader_config = {
   frame_timeout_s : float;  (** per-frame read/write deadline *)
-  heartbeat_s : float;  (** idle-stream heartbeat period *)
+  heartbeat_s : float;  (** period of the heartbeat sent to every follower *)
   send_capacity : int;  (** per-follower send buffer, in frames *)
   overflow_patience_s : float Atomic.t;
       (** how long a full send buffer may refuse one frame before the
@@ -118,8 +122,9 @@ val leader_drop_connections : leader -> int
 (** Partition chaos: sever every live connection. *)
 
 val stop_leader : leader -> unit
-(** Stop the listener and all per-follower machinery. Does {e not}
-    stop the underlying service. Idempotent. *)
+(** Stop the listener and all per-follower machinery (the heartbeat
+    clock within one period). Does {e not} stop the underlying
+    service. Idempotent. *)
 
 (** {1 Replica} *)
 
@@ -156,8 +161,9 @@ val follow :
     the leader's one to one. One follower thread receives the stream
     and offers each record to the service, retrying a full ingest
     queue every 5 ms and ending the stream on any other rejection.
-    [?health_file] publishes [Service.health ^ {!status_suffix}]
-    atomically every [health_every_s] from a second thread. *)
+    [?health_file] is the service's health file, its lines suffixed
+    [" role=replica leader_seq=N lag=N connected=B epoch=E"] (as are
+    [status] replies). *)
 
 val replica_service : replica -> Rs_serve.Service.t
 (** Query it directly; writes should go through the leader. *)
@@ -180,17 +186,13 @@ val replica_epoch : replica -> int
 val last_error : replica -> string option
 (** Why the stream last ended, e.g. the leader's ['E'] reason. *)
 
-val status_suffix : replica -> string
-(** [" role=replica leader_seq=%d lag=%d connected=%b epoch=%d"] —
-    appended to health lines and [status] replies. *)
-
 val detach : replica -> unit
-(** Stop following (follower and health threads joined, socket
-    closed); the service keeps serving what it has. Idempotent. *)
+(** Stop following (follower thread joined, socket closed); the
+    service keeps serving what it has. Idempotent. *)
 
 val promote : replica -> int
-(** {!detach}, wait until the service is idle, bump and persist the
-    epoch, and return it. The replica's service is now the freshest
+(** {!detach}, wait (up to 30 s) until the service is idle, bump and
+    persist the epoch, and return it. The replica's service is now the freshest
     surviving state and refuses the deposed leader's stream. *)
 
 val stop_replica : replica -> Rs_serve.Service.status

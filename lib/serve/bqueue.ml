@@ -2,6 +2,7 @@ type 'a t = {
   capacity : int;
   q : 'a Queue.t;
   m : Mutex.t;
+  nonempty : Condition.t;  (* signalled by push, broadcast by close *)
   mutable closed : bool;
 }
 
@@ -13,56 +14,44 @@ let reject_to_string = function
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Bqueue.create: capacity must be >= 1";
-  { capacity; q = Queue.create (); m = Mutex.create (); closed = false }
-
-let with_lock t f =
-  Mutex.lock t.m;
-  match f () with
-  | v ->
-      Mutex.unlock t.m;
-      v
-  | exception e ->
-      Mutex.unlock t.m;
-      raise e
+  { capacity; q = Queue.create (); m = Mutex.create (); nonempty = Condition.create ();
+    closed = false }
 
 let push t x =
-  with_lock t @@ fun () ->
+  Mutex.protect t.m @@ fun () ->
   if t.closed then Error Closed
   else if Queue.length t.q >= t.capacity then Error (Full t.capacity)
   else begin
     Queue.push x t.q;
+    Condition.signal t.nonempty;
     Ok ()
   end
 
-let length t = with_lock t @@ fun () -> Queue.length t.q
-let is_closed t = with_lock t @@ fun () -> t.closed
+let length t = Mutex.protect t.m @@ fun () -> Queue.length t.q
 
-let close t = with_lock t @@ fun () -> t.closed <- true
+let close t =
+  Mutex.protect t.m @@ fun () ->
+  t.closed <- true;
+  Condition.broadcast t.nonempty
 
-let take_upto t max =
-  with_lock t @@ fun () ->
+(* under [t.m] *)
+let take_locked t max =
   let rec go acc k =
     if k = 0 || Queue.is_empty t.q then List.rev acc
     else go (Queue.pop t.q :: acc) (k - 1)
   in
   go [] max
 
-(* Timed waiting is a short poll loop rather than a condition variable:
-   the stdlib [Condition] has no timed wait, and every consumer needs a
-   bounded sleep anyway — the writer to refresh its watchdog heartbeat,
-   readers to notice shutdown. 1 ms granularity is far below any
-   request deadline or repair budget served here. *)
-let pop_batch t ~max ~timeout_s =
-  if max < 1 then invalid_arg "Bqueue.pop_batch: max must be >= 1";
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec wait () =
-    match take_upto t max with
-    | _ :: _ as batch -> batch
-    | [] ->
-        if is_closed t || Unix.gettimeofday () >= deadline then []
-        else begin
-          Unix.sleepf 0.001;
-          wait ()
-        end
-  in
-  wait ()
+let check_max max = if max < 1 then invalid_arg "Bqueue: max must be >= 1"
+
+let take t ~max =
+  check_max max;
+  Mutex.protect t.m @@ fun () -> take_locked t max
+
+let pop_batch t ~max =
+  check_max max;
+  Mutex.protect t.m @@ fun () ->
+  while Queue.is_empty t.q && not t.closed do
+    Condition.wait t.nonempty t.m
+  done;
+  take_locked t max

@@ -1,11 +1,12 @@
 (** Bounded multi-producer multi-consumer queue — the service's
     backpressure primitive.
 
-    Both service queues (delta ingest, read requests) are instances of
-    this: a fixed capacity chosen at creation, a {e non-blocking}
-    {!push} that rejects with a reason instead of growing without
-    bound, and a timed {!pop_batch} consumers poll so they can also
-    notice shutdown and update liveness heartbeats. Rejection at the
+    Both service queues (delta ingest, read requests) and each
+    replication follower's send buffer are instances of this: a fixed
+    capacity chosen at creation, a {e non-blocking} {!push} that
+    rejects with a reason instead of growing without bound, and a
+    {!pop_batch} that blocks on a condition variable until {!push} or
+    {!close} wakes it — an idle consumer costs no CPU. Rejection at the
     boundary is the overload-protection contract: memory held by a
     queue is [capacity * element], full stop. *)
 
@@ -22,17 +23,19 @@ val reject_to_string : reject -> string
 (** One-line reason, e.g. ["queue full (capacity 64)"]. *)
 
 val push : 'a t -> 'a -> (unit, reject) result
-(** Never blocks and never grows the queue past capacity. *)
+(** Never blocks, never grows the queue past capacity; wakes a {!pop_batch}. *)
 
-val pop_batch : 'a t -> max:int -> timeout_s:float -> 'a list
-(** Dequeue up to [max] elements in FIFO order, waiting up to
-    [timeout_s] for the first to arrive. Returns [[]] on timeout or
-    when the queue is closed and drained — consumers distinguish the
-    two via {!is_closed}/{!length}. *)
+val pop_batch : 'a t -> max:int -> 'a list
+(** Dequeue up to [max] elements in FIFO order, blocking until the
+    first arrives. Returns [[]] only once the queue is closed and
+    drained. *)
+
+val take : 'a t -> max:int -> 'a list
+(** {!pop_batch} without the wait: [[]] when the queue is empty. *)
 
 val length : 'a t -> int
-val is_closed : 'a t -> bool
 
 val close : 'a t -> unit
-(** Reject all future pushes. Elements already queued remain poppable
-    (shutdown drains; it does not discard). *)
+(** Reject all future pushes and wake every blocked {!pop_batch}.
+    Elements already queued remain poppable (shutdown drains; it does
+    not discard). *)

@@ -319,7 +319,8 @@ let wedged_writer_failover ~rand ~specs ~n ~batches ~dir:_ =
     if i = wedge_at then
       wait_until ~what:"watchdog failover" (fun () ->
           (Service.status svc).Service.s_failovers >= 1)
-    else wait_until ~what:"delta ingest" (fun () -> Service.idle svc)
+    else if not (Service.wait_idle ~timeout_s:20.0 svc) then
+      failwith "timed out waiting for delta ingest"
   done;
   wait_until ~what:"post-failover publication" (fun () ->
       Service.view_seq svc = Service.ingested_seq svc);

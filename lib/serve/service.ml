@@ -188,14 +188,15 @@ type t = {
   view : view Atomic.t;
   ingested : int Atomic.t;
   epoch : int Atomic.t;
-  heartbeat : float Atomic.t;
+  batch_since : float Atomic.t;  (* start of the writer's current batch; 0. when idle *)
   pub_m : Mutex.t;  (* serializes view/ingested publication against epoch bumps *)
+  pub_c : Condition.t;  (* broadcast under [pub_m] on every change [await] can see *)
+  mutable timed_waiters : int;  (* under [pub_m]; the clock wakes them each tick *)
   ingest : Delta.t Bqueue.t;
   inflight : int Atomic.t;  (* deltas accepted but not yet applied+published *)
   requests : pending Bqueue.t;
-  shutdown : bool Atomic.t;
   killed : bool Atomic.t;
-  stopped : bool Atomic.t;
+  stopped : bool Atomic.t;  (* set once, by whichever of stop and kill comes first *)
   suspended : string option Atomic.t;  (* Some reason = ingest refused *)
   rebuilding : bool Atomic.t;
   breaker_str : string Atomic.t;
@@ -205,9 +206,9 @@ type t = {
   a_stale : int Atomic.t;
   a_failovers : int Atomic.t;
   mutable writer : unit Domain.t option;
-  mutable abandoned : unit Domain.t list;  (* superseded writers; never joined *)
   mutable readers : unit Domain.t array;
-  mutable watchdog : Thread.t option;
+  mutable clock : Thread.t option;
+  health_suffix : t -> string;  (* appended to [health]: a replica's role and lag *)
 }
 
 let view_seq t = (Atomic.get t.view).v_seq
@@ -221,6 +222,30 @@ let idle t =
   Atomic.get t.inflight = 0
   && (not (Atomic.get t.rebuilding))
   && Atomic.get t.ingested = view_seq t
+
+(* {1 Waiting} — each state change a waiter can observe broadcasts
+   [pub_c] under [pub_m] after the change, and a waiter tests its
+   condition under [pub_m]: no wake-up falls between test and wait. *)
+
+let wake t = Mutex.protect t.pub_m (fun () -> Condition.broadcast t.pub_c)
+
+let await ?timeout_s t cond =
+  let deadline = Option.map (( +. ) (Unix.gettimeofday ())) timeout_s in
+  let expired () = Option.fold deadline ~none:false ~some:(fun d -> Unix.gettimeofday () >= d) in
+  let timed = Option.is_some deadline in
+  let rec go () =
+    if cond () then true
+    else if Atomic.get t.killed || expired () then false
+    else (Condition.wait t.pub_c t.pub_m; go ())
+  in
+  Mutex.protect t.pub_m @@ fun () ->
+  if timed then t.timed_waiters <- t.timed_waiters + 1;
+  Fun.protect go ~finally:(fun () -> if timed then t.timed_waiters <- t.timed_waiters - 1)
+
+let wait_idle ?timeout_s ?(cancel = fun () -> false) t =
+  await ?timeout_s t (fun () -> cancel () || idle t)
+
+let wait_ingested ?timeout_s t seq = await ?timeout_s t (fun () -> Atomic.get t.ingested >= seq)
 
 let peek t =
   let v = Atomic.get t.view in
@@ -253,17 +278,20 @@ let health t =
       (state_name s.s_state) s.s_seq s.s_ingested s.s_queue s.s_breaker s.s_epoch
       s.s_accepted s.s_rejected s.s_timeouts s.s_stale_reads s.s_failovers
   in
-  match s.s_state with
+  (match s.s_state with
   | Degraded reason -> Printf.sprintf "%s reason=%S" base reason
-  | Serving | Rebuilding -> base
+  | Serving | Rebuilding -> base)
+  ^ t.health_suffix t
 
-let write_health t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (health t);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
+let write_health t =
+  match t.cfg.health_file with
+  | None -> ()
+  | Some path -> (
+      let tmp = path ^ ".tmp" in
+      try
+        Out_channel.with_open_text tmp (fun oc -> output_string oc (health t ^ "\n"));
+        Sys.rename tmp path
+      with Sys_error _ -> ())
 
 (* {1 Ingest} *)
 
@@ -273,7 +301,7 @@ let offer t delta =
     Atomic.incr t.a_rejected;
     Error reason
   in
-  if Atomic.get t.shutdown then reject "service is shutting down"
+  if Atomic.get t.stopped then reject "service is shutting down"
   else
     match Atomic.get t.suspended with
     | Some reason -> reject ("ingest suspended: " ^ reason)
@@ -292,7 +320,8 @@ let offer t delta =
                 Atomic.incr t.a_accepted;
                 Ok ()
             | Error r ->
-                Atomic.decr t.inflight;
+                (* back to zero: a waiter may have seen it outstanding *)
+                if Atomic.fetch_and_add t.inflight (-1) = 1 then wake t;
                 reject (Bqueue.reject_to_string r)))
 
 (* {1 Reader evaluation} *)
@@ -347,7 +376,7 @@ let respond p resp =
   Condition.signal p.p_c;
   Mutex.unlock p.p_m
 
-let await p =
+let await_response p =
   Mutex.lock p.p_m;
   let rec wait () =
     match p.p_resp with
@@ -395,10 +424,12 @@ let serve_one t p =
   Obs.observe h_query_ms resp.latency_ms;
   respond p resp
 
+(* One request per wake-up: a queued request goes to whichever reader
+   is free instead of waiting behind its neighbour on one domain. *)
 let reader_loop t () =
   let rec loop () =
-    match Bqueue.pop_batch t.requests ~max:8 ~timeout_s:0.05 with
-    | [] -> if not (Bqueue.is_closed t.requests) then loop ()
+    match Bqueue.pop_batch t.requests ~max:1 with
+    | [] -> () (* closed and drained *)
     | batch ->
         List.iter (serve_one t) batch;
         loop ()
@@ -415,7 +446,7 @@ let query ?(strategy = 0) ?deadline_s t q =
       p_resp = None }
   in
   match Bqueue.push t.requests p with
-  | Ok () -> await p
+  | Ok () -> await_response p
   | Error r ->
       Obs.incr c_rej_queries;
       { answer = Error (Overloaded (Bqueue.reject_to_string r)); seq = -1;
@@ -434,50 +465,57 @@ let breaker_name = function
    watchdog bumps the epoch under the same lock before spawning a
    replacement writer, so a wedged writer that wakes later finds its
    epoch dead and its publication is a no-op. *)
+let fenced t my_epoch f =
+  Mutex.protect t.pub_m @@ fun () ->
+  if Atomic.get t.epoch = my_epoch then f ();
+  Condition.broadcast t.pub_c
+
 let publish t my_epoch b =
-  Mutex.lock t.pub_m;
-  if Atomic.get t.epoch = my_epoch then begin
-    let v = make_view b in
-    Atomic.set t.view v;
-    Obs.set_gauge g_view_seq (float_of_int v.v_seq)
-  end;
-  Mutex.unlock t.pub_m
+  fenced t my_epoch @@ fun () ->
+  let v = make_view b in
+  Atomic.set t.view v;
+  Obs.set_gauge g_view_seq (float_of_int v.v_seq)
 
 let ack t my_epoch b =
-  Mutex.lock t.pub_m;
-  if Atomic.get t.epoch = my_epoch then begin
-    Atomic.set t.ingested (b_seq b);
-    Obs.set_gauge g_ingested (float_of_int (b_seq b))
-  end;
-  Mutex.unlock t.pub_m
+  fenced t my_epoch @@ fun () ->
+  Atomic.set t.ingested (b_seq b);
+  Obs.set_gauge g_ingested (float_of_int (b_seq b))
 
+(* What the watchdog times: stamped when the writer takes work, cleared
+   (fenced, so a superseded writer cannot clear its replacement's
+   stamp) once the work is published. An idle writer is never stale. *)
+let batch_begin t = Atomic.set t.batch_since (Obs.now ())
+let batch_end t my_epoch = fenced t my_epoch (fun () -> Atomic.set t.batch_since 0.)
+
+(* folds the open-breaker backlog *)
 let do_rebuild t my_epoch b =
+  batch_begin t;
   Atomic.set t.rebuilding true;
   Obs.incr c_rebuilds;
   Obs.with_span "service/rebuild" (fun () -> b_rebuild b);
   publish t my_epoch b;
-  Atomic.set t.rebuilding false
+  Atomic.set t.rebuilding false;
+  batch_end t my_epoch
 
 let rec writer_loop t my_epoch b breaker bad deferred =
   if Atomic.get t.killed || Atomic.get t.epoch <> my_epoch then ()
   else begin
-    Atomic.set t.heartbeat (Obs.now ());
     Atomic.set t.breaker_str (breaker_name breaker);
     Obs.set_gauge g_queue (float_of_int (Bqueue.length t.ingest));
-    match Bqueue.pop_batch t.ingest ~max:t.cfg.batch_max ~timeout_s:0.05 with
-    | [] ->
-        if deferred > 0 then begin
-          (* idle (or draining): fold the open-breaker backlog now *)
-          do_rebuild t my_epoch b;
-          if not (Atomic.get t.shutdown) then
-            writer_loop t my_epoch b Half_open_b 0 0
-        end
-        else if not (Atomic.get t.shutdown) then
-          writer_loop t my_epoch b breaker bad deferred
+    let max = t.cfg.batch_max in
+    (* with a backlog deferred, an empty queue means fold it now
+       rather than block *)
+    match if deferred > 0 then Bqueue.take t.ingest ~max else Bqueue.pop_batch t.ingest ~max with
+    | [] when deferred > 0 ->
+        do_rebuild t my_epoch b;
+        writer_loop t my_epoch b Half_open_b 0 0
+    | [] -> () (* closed and drained: shutdown *)
     | batch -> (
+        batch_begin t;
         let batch_len = List.length batch in
         let batch_done () =
-          ignore (Atomic.fetch_and_add t.inflight (-batch_len))
+          ignore (Atomic.fetch_and_add t.inflight (-batch_len));
+          batch_end t my_epoch
         in
         Obs.incr c_batches;
         Obs.observe h_batch (float_of_int (List.length batch));
@@ -535,13 +573,11 @@ let writer_domain t my_epoch b () =
       Obs.incr c_crashes;
       (* a superseded writer's death must not re-suspend the epoch
          that replaced it *)
-      Mutex.lock t.pub_m;
-      if Atomic.get t.epoch = my_epoch then
-        Atomic.set t.suspended
-          (Some ("writer crashed: " ^ Printexc.to_string e));
-      Mutex.unlock t.pub_m
+      fenced t my_epoch (fun () ->
+          Atomic.set t.suspended (Some ("writer crashed: " ^ Printexc.to_string e)))
 
-(* {1 Watchdog} *)
+(* {1 Clock} — the service's one timed loop: the watchdog, the health
+   file, and the deadlines of timed [await]s. *)
 
 let handle_wedge t =
   match t.backend with
@@ -551,12 +587,14 @@ let handle_wedge t =
       if Atomic.get t.suspended = None then begin
         Obs.incr c_wedges;
         Atomic.set t.suspended
-          (Some "writer wedged; ingest suspended (restart and recover)")
+          (Some "writer wedged; ingest suspended (restart and recover)");
+        wake t
       end
   | B_eph _ ->
       Obs.incr c_wedges;
       Mutex.lock t.pub_m;
       Atomic.incr t.epoch;
+      Atomic.set t.batch_since 0.;
       let epoch = Atomic.get t.epoch in
       Mutex.unlock t.pub_m;
       Obs.incr c_failovers;
@@ -576,36 +614,30 @@ let handle_wedge t =
          semantics); deltas still queued will be processed *)
       Atomic.set t.inflight (Bqueue.length t.ingest);
       Atomic.set t.suspended None;
-      Atomic.set t.heartbeat (Obs.now ());
-      (match t.writer with
-      | Some d -> t.abandoned <- d :: t.abandoned
-      | None -> ());
-      t.writer <- Some (Domain.spawn (writer_domain t epoch b))
+      (* the superseded writer is never joined *)
+      t.writer <- Some (Domain.spawn (writer_domain t epoch b));
+      wake t
 
-let watchdog t () =
+let clock t () =
   let last_health = ref 0. in
-  let rec loop () =
-    if not (Atomic.get t.shutdown) then begin
-      Unix.sleepf 0.05;
-      let now = Obs.now () in
-      if
-        t.cfg.watchdog_s > 0.
-        && now -. Atomic.get t.heartbeat > t.cfg.watchdog_s
-        && not (Atomic.get t.shutdown)
-      then handle_wedge t;
-      (match t.cfg.health_file with
-      | Some path when now -. !last_health >= t.cfg.health_every_s ->
-          last_health := now;
-          (try write_health t path with Sys_error _ -> ())
-      | _ -> ());
-      loop ()
-    end
-  in
-  loop ()
+  while not (Atomic.get t.stopped) do
+    Unix.sleepf 0.05;
+    let now = Obs.now () in
+    (* how long the current batch has run; an idle writer (0.) is never wedged *)
+    let since = Atomic.get t.batch_since in
+    if t.cfg.watchdog_s > 0. && since > 0. && now -. since > t.cfg.watchdog_s
+       && not (Atomic.get t.stopped)
+    then handle_wedge t;
+    if now -. !last_health >= t.cfg.health_every_s then begin
+      last_health := now;
+      write_health t
+    end;
+    Mutex.protect t.pub_m (fun () -> if t.timed_waiters > 0 then Condition.broadcast t.pub_c)
+  done
 
 (* {1 Lifecycle} *)
 
-let start (cfg : config) spec =
+let start ?(health_suffix = fun _ -> "") (cfg : config) spec =
   if cfg.readers < 1 then invalid_arg "Service.start: readers must be >= 1";
   if cfg.ingest_capacity < 1 || cfg.request_capacity < 1 then
     invalid_arg "Service.start: queue capacities must be >= 1";
@@ -633,36 +665,32 @@ let start (cfg : config) spec =
   let t =
     { cfg; specs; backend; view = Atomic.make v; ingested = Atomic.make v.v_seq;
       inflight = Atomic.make 0;
-      epoch = Atomic.make 1; heartbeat = Atomic.make (Obs.now ());
-      pub_m = Mutex.create (); ingest = Bqueue.create ~capacity:cfg.ingest_capacity;
+      epoch = Atomic.make 1; batch_since = Atomic.make 0.;
+      pub_m = Mutex.create (); pub_c = Condition.create (); timed_waiters = 0;
+      ingest = Bqueue.create ~capacity:cfg.ingest_capacity;
       requests = Bqueue.create ~capacity:cfg.request_capacity;
-      shutdown = Atomic.make false; killed = Atomic.make false;
-      stopped = Atomic.make false; suspended = Atomic.make None;
+      killed = Atomic.make false; stopped = Atomic.make false; suspended = Atomic.make None;
       rebuilding = Atomic.make false; breaker_str = Atomic.make "closed";
       a_accepted = Atomic.make 0; a_rejected = Atomic.make 0;
       a_timeouts = Atomic.make 0; a_stale = Atomic.make 0;
-      a_failovers = Atomic.make 0; writer = None; abandoned = []; readers = [||];
-      watchdog = None }
+      a_failovers = Atomic.make 0; writer = None; readers = [||];
+      clock = None; health_suffix }
   in
   Obs.set_gauge g_view_seq (float_of_int v.v_seq);
   Obs.set_gauge g_ingested (float_of_int v.v_seq);
-  (match cfg.health_file with
-  | Some path -> ( try write_health t path with Sys_error _ -> ())
-  | None -> ());
+  write_health t;
   t.writer <- Some (Domain.spawn (writer_domain t 1 backend));
   t.readers <- Array.init cfg.readers (fun _ -> Domain.spawn (reader_loop t));
-  if cfg.watchdog_s > 0. || cfg.health_file <> None then
-    t.watchdog <- Some (Thread.create (watchdog t) ());
+  t.clock <- Some (Thread.create (clock t) ());
   t
 
 let stop t =
   if Atomic.compare_and_set t.stopped false true then begin
-    Atomic.set t.shutdown true;
     Bqueue.close t.ingest;
     (match t.writer with Some d -> Domain.join d | None -> ());
     Bqueue.close t.requests;
     Array.iter Domain.join t.readers;
-    Option.iter Thread.join t.watchdog;
+    Option.iter Thread.join t.clock;
     if not (Atomic.get t.killed) then (
       match t.backend with
       | B_dur store ->
@@ -670,20 +698,18 @@ let stop t =
           ignore (Store.write_snapshot store);
           Store.close store
       | B_eph _ -> ());
-    match t.cfg.health_file with
-    | Some path -> ( try write_health t path with Sys_error _ -> ())
-    | None -> ()
+    write_health t
   end;
   status t
 
 let kill t =
   Atomic.set t.killed true;
   if Atomic.compare_and_set t.stopped false true then begin
-    Atomic.set t.shutdown true;
     Bqueue.close t.ingest;
     Bqueue.close t.requests;
     (* readers drain and answer what's queued; the writer is abandoned
        wherever it is — no drain, no final snapshot, no store close *)
     Array.iter Domain.join t.readers;
-    Option.iter Thread.join t.watchdog
-  end
+    Option.iter Thread.join t.clock
+  end;
+  wake t

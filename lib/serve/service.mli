@@ -29,9 +29,12 @@
     one batched rebuild and re-probes incremental mode. Readers serve
     the last good view, stale-flagged, throughout.
 
-    {b Watchdog.} A monitor systhread checks the writer's heartbeat
-    (it only sleeps and reads atomics, so it takes no domain; it runs
-    in the domain that called {!start}). A
+    {b Waiting and watchdog.} Idle readers and the writer block on
+    their queues ({!Bqueue}); all else that waits on the service
+    blocks in {!await}. The one timed loop is a clock systhread (50 ms
+    ticks, no domain of its own): it writes the health file, ends
+    timed {!await}s, and is the watchdog, timing the writer's current
+    batch — a writer blocked on an empty queue is idle, not wedged. A
     wedged writer on an ephemeral backend is failed over: the epoch is
     bumped (the old writer's publications are dead on arrival — epoch
     is checked under the publication lock) and a replacement writer
@@ -68,8 +71,8 @@ type config = {
           open the breaker *)
   open_backlog : int;  (** deferred batches folded per rebuild when open *)
   watchdog_s : float;
-      (** heartbeat staleness declaring the writer wedged; [0.] (with
-          no health file) runs no watchdog thread *)
+      (** how long one batch may run before the writer is declared
+          wedged; [0.] disables the watchdog *)
   health_every_s : float;  (** health-file refresh period *)
   health_file : string option;
   dirty_radius : int option;  (** forwarded to {!Repair.apply}; testing *)
@@ -85,9 +88,9 @@ val default_config : config
 
 type t
 
-val start : config -> backend_spec -> t
-(** Spawn the writer and reader domains and (if configured) the
-    watchdog thread.
+val start : ?health_suffix:(t -> string) -> config -> backend_spec -> t
+(** Spawn the writer and reader domains and the clock thread.
+    [health_suffix] (default [""]) is appended to every {!health} line.
     The first view is published before [start] returns — reads are
     servable immediately. *)
 
@@ -163,17 +166,30 @@ val health : t -> string
 (** One [key=value] line, e.g.
     ["state=serving seq=12 ingested=12 queue=0 breaker=closed ..."].
     Written atomically (temp + rename) to [config.health_file] every
-    [health_every_s] by the watchdog. *)
+    [health_every_s] by the clock. *)
 
 val view_seq : t -> int
 val ingested_seq : t -> int
 
-val idle : t -> bool
-(** No accepted delta is awaiting the writer: the queue is empty,
-    nothing is in flight between pop and publish, no rebuild is
-    running, and the published view has caught the log. The correct
-    drain predicate — polling [view_seq = ingested_seq] alone misses
-    the window where a popped batch is applied but not yet acked. *)
+(** {1 Waiting} *)
+
+val await : ?timeout_s:float -> t -> (unit -> bool) -> bool
+(** Block until [cond ()] holds ([true]); [false] once [timeout_s]
+    passes (checked on each clock tick) or the service is killed.
+    [cond] runs under the publication lock after every ack, publish,
+    batch end, rebuild end, suspension, stop, kill and {!wake}. *)
+
+val wake : t -> unit
+(** Re-run every {!await}'s condition, for one that reads state the
+    service does not own (a connection's stop flag). *)
+
+val wait_idle : ?timeout_s:float -> ?cancel:(unit -> bool) -> t -> bool
+(** {!await} idleness or [cancel ()]: no accepted delta awaits the
+    writer (queue empty, nothing between pop and publish, no rebuild)
+    and the published view has caught the log — the drain. *)
+
+val wait_ingested : ?timeout_s:float -> t -> int -> bool
+(** {!await} [ingested_seq t >= seq]. *)
 
 val peek : t -> Graph.t * (Repair.spec * Edge_set.t) list
 (** The published view's graph and per-strategy spanners — what a

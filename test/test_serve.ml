@@ -43,18 +43,7 @@ let spec = Repair.Gdy_k { k = 1 }
 (* modest domain counts: the container is small *)
 let base_config = { Service.default_config with Service.readers = 1; watchdog_s = 0. }
 
-let wait_for ?(timeout = 30.) what pred =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    if pred () then ()
-    else if Unix.gettimeofday () -. t0 > timeout then
-      Alcotest.failf "timed out waiting for %s" what
-    else begin
-      Unix.sleepf 0.002;
-      go ()
-    end
-  in
-  go ()
+let drain svc = check "drained within 30 s" true (Service.wait_idle ~timeout_s:30. svc)
 
 (* the chaos harness's recovery gate, reused for unit-level drains *)
 let verify_view svc =
@@ -102,7 +91,7 @@ let test_lifecycle () =
   (match Service.offer svc [ Delta.Add_edge (u, v) ] with
   | Ok () -> ()
   | Error e -> Alcotest.failf "offer rejected on an idle service: %s" e);
-  wait_for "drain" (fun () -> Service.idle svc);
+  drain svc;
   check_int "view caught the log" 1 (Service.view_seq svc);
   (match (Service.query svc Service.Stats).Service.answer with
   | Ok (Service.Stats_a { m; _ }) -> check_int "edge landed" (m0 + 1) m
@@ -143,7 +132,7 @@ let test_offer_rejection () =
   done;
   check "saturation rejects explicitly" true (!rejected > 0);
   check "some deltas still flow" true (!accepted > 0);
-  wait_for "drain" (fun () -> Service.idle svc);
+  drain svc;
   verify_view svc;
   let st = Service.stop svc in
   (* + 1: the out-of-range delta above also rejected with a reason *)
@@ -199,7 +188,7 @@ let test_stale_and_breaker () =
   done;
   check "stale reads are flagged while the view lags" true !saw_stale;
   check "breaker opened under sustained over-budget repairs" true !saw_open;
-  wait_for "drain" (fun () -> Service.idle svc);
+  drain svc;
   check "drained view caught the log" true
     (Service.view_seq svc = Service.ingested_seq svc);
   verify_view svc;
@@ -219,7 +208,7 @@ let test_durable_roundtrip () =
       [ Delta.Node_down 2 ] ]
   in
   List.iter (fun d -> ignore (Service.offer svc d)) deltas;
-  wait_for "drain" (fun () -> Service.idle svc);
+  drain svc;
   let g_live, spanners_live = Service.peek svc in
   let st = Service.stop svc in
   check "served past seq 0" true (st.Service.s_seq > 0);
@@ -234,6 +223,85 @@ let test_durable_roundtrip () =
     spanners_live (Store.states store2);
   Store.close store2;
   rm_rf dir
+
+(* ---------------------------------------------------------------- *)
+(* Blocking hand-offs: the queue wakes its consumers on push and close,
+   so an idle service costs no CPU and the watchdog does not mistake
+   an idle writer for a wedged one. *)
+
+module Bqueue = Rs_serve.Bqueue
+
+let test_bqueue_semantics () =
+  let q = Bqueue.create ~capacity:3 in
+  List.iter (fun x -> check "push" true (Bqueue.push q x = Ok ())) [ 1; 2; 3 ];
+  check "full rejects with the capacity" true (Bqueue.push q 4 = Error (Bqueue.Full 3));
+  check "take is FIFO" true (Bqueue.take q ~max:2 = [ 1; 2 ]);
+  check "take on the rest" true (Bqueue.take q ~max:2 = [ 3 ]);
+  check "take on empty" true (Bqueue.take q ~max:2 = []);
+  ignore (Bqueue.push q 5);
+  ignore (Bqueue.push q 6);
+  Bqueue.close q;
+  check "closed rejects" true (Bqueue.push q 7 = Error Bqueue.Closed);
+  check "closed still drains in order" true (Bqueue.pop_batch q ~max:8 = [ 5; 6 ]);
+  check "closed and drained" true (Bqueue.pop_batch q ~max:8 = [])
+
+let test_bqueue_push_wakes () =
+  let q = Bqueue.create ~capacity:4 in
+  let got = Atomic.make None in
+  let th = Thread.create (fun () -> Atomic.set got (Some (Bqueue.pop_batch q ~max:4))) () in
+  Thread.delay 0.1;
+  check "pop blocks on an empty queue" true (Atomic.get got = None);
+  ignore (Bqueue.push q 42);
+  Thread.join th;
+  check "push wakes the blocked pop" true (Atomic.get got = Some [ 42 ])
+
+let test_bqueue_close_wakes_all () =
+  let q : int Bqueue.t = Bqueue.create ~capacity:4 in
+  let woken = Atomic.make 0 in
+  let poppers =
+    List.init 4 (fun _ ->
+        Thread.create (fun () -> if Bqueue.pop_batch q ~max:1 = [] then Atomic.incr woken) ())
+  in
+  Thread.delay 0.1;
+  check_int "every popper blocks" 0 (Atomic.get woken);
+  let t0 = Unix.gettimeofday () in
+  Bqueue.close q;
+  List.iter Thread.join poppers;
+  let dt = Unix.gettimeofday () -. t0 in
+  check_int "close wakes every popper" 4 (Atomic.get woken);
+  check (Printf.sprintf "within 100 ms (%.1f ms)" (dt *. 1000.)) true (dt < 0.1)
+
+let test_idle_cpu () =
+  let g = udg ~seed:16 ~n:200 ~density:4.0 in
+  let svc = Service.start Service.default_config (Service.Ephemeral { specs = [ spec ]; g }) in
+  Thread.delay 0.2;
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let c0 = cpu () and w0 = Unix.gettimeofday () in
+  Thread.delay 1.0;
+  let ms_per_s = (cpu () -. c0) *. 1000. /. (Unix.gettimeofday () -. w0) in
+  ignore (Service.stop svc);
+  check (Printf.sprintf "idle service CPU %.1f ms/s <= 10" ms_per_s) true (ms_per_s <= 10.)
+
+let test_watchdog_idle () =
+  let g = udg ~seed:17 ~n:60 ~density:4.0 in
+  let wedges = Rs_obs.Obs.counter "service/wedges" in
+  let was = Rs_obs.Obs.enabled () in
+  Rs_obs.Obs.set_enabled true;
+  let w0 = Rs_obs.Obs.counter_value wedges in
+  let svc =
+    Service.start { base_config with Service.watchdog_s = 0.2 }
+      (Service.Ephemeral { specs = [ spec ]; g })
+  in
+  Thread.delay 1.0;
+  let st = Service.stop svc in
+  let w = Rs_obs.Obs.counter_value wedges - w0 in
+  Rs_obs.Obs.set_enabled was;
+  check_int "no wedge while idle" 0 w;
+  check_int "no failover while idle" 0 st.Service.s_failovers;
+  check_int "epoch unchanged" 1 st.Service.s_epoch
 
 (* ---------------------------------------------------------------- *)
 (* Acceptance: every chaos scenario ends in a verified state. *)
@@ -272,7 +340,13 @@ let () =
           Alcotest.test_case "offer rejection" `Quick test_offer_rejection;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "stale + breaker" `Quick test_stale_and_breaker;
-          Alcotest.test_case "durable round trip" `Quick test_durable_roundtrip ] );
+          Alcotest.test_case "durable round trip" `Quick test_durable_roundtrip;
+          Alcotest.test_case "idle costs no CPU" `Quick test_idle_cpu;
+          Alcotest.test_case "idle writer is not wedged" `Quick test_watchdog_idle ] );
+      ( "bqueue",
+        [ Alcotest.test_case "fifo, full, closed" `Quick test_bqueue_semantics;
+          Alcotest.test_case "push wakes a blocked pop" `Quick test_bqueue_push_wakes;
+          Alcotest.test_case "close wakes every popper" `Quick test_bqueue_close_wakes_all ] );
       ( "chaos",
         [ Alcotest.test_case "all scenarios" `Slow test_chaos;
           Alcotest.test_case "wedge on quiescent seeds" `Slow test_wedge_quiescent_seeds ] ) ]
