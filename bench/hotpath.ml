@@ -126,6 +126,28 @@ let bench_size rows ~seen ~tier ~n =
   add "verify/seq" (fun () -> Verify.is_remote_spanner g h ~alpha:1.0 ~beta:0.0);
   add "verify/par4" (fun () ->
       Parallel.is_remote_spanner ~domains:4 g h ~alpha:1.0 ~beta:0.0);
+  (* Serving reads over the exact spanner, cycling through a fixed
+     spread of connected pairs: a route (one BFS over H from the
+     destination, then the hops) and a 2-paths query (successive
+     shortest paths on the implicit residual graph). *)
+  let ls = Rs_routing.Link_state.make g h in
+  let hg = Rs_routing.Link_state.spanner ls in
+  let pairs =
+    List.init 64 (fun i -> ((i * 7919) mod n, ((i * 104729) + (n / 2)) mod n))
+    |> List.filter (fun (a, b) -> a <> b && Bfs.dist_pair g a b > 0)
+    |> Array.of_list
+  in
+  let next = ref 0 in
+  let pair () =
+    next := (!next + 1) mod Array.length pairs;
+    pairs.(!next)
+  in
+  add "routing/route" (fun () ->
+      let src, dst = pair () in
+      Rs_routing.Link_state.route ls ~src ~dst);
+  add "graph/min_sum_paths-k2" (fun () ->
+      let a, b = pair () in
+      Disjoint_paths.min_sum_paths hg ~k:2 a b);
   (* Incremental repair: remove a batch of spread-out edges, then
      restore them (state cycles back, so the benchmark is steady).
      Compare against union/exact-seq, the from-scratch rebuild of the

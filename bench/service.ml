@@ -22,12 +22,13 @@
 
    - degradation: a deliberately under-provisioned service (capacity-8
      ingest queue, a writer slowed to ~2 ms per batch) is flooded at
-     increasing offered rates. Overload must surface as explicit
-     rejections with bounded queue depth — never as growing memory —
-     and once the circuit breaker opens, as stale-flagged reads. The
-     curve is printed; only the steady-phase latency rows go into
-     BENCH_service.json (rejection counts are scheduling-dependent and
-     would flake a regression gate).
+     increasing offered rates, each offer paced to its due time.
+     Overload must surface as explicit rejections with bounded queue
+     depth — never as growing memory — and once the circuit breaker
+     opens, as stale-flagged reads. The curve is printed; only the
+     steady-phase latency rows go into BENCH_service.json (rejection
+     counts are scheduling-dependent and would flake a regression
+     gate).
 
    Writes BENCH_service.json (row -> ns) for scripts/check_bench.py,
    gated in CI with a lenient threshold: service rows measure queue
@@ -289,8 +290,8 @@ let degradation ~n =
   let m = Array.length edges in
   Printf.printf "\ndegradation curve (udg%d, ingest capacity %d, ~2 ms/batch writer):\n"
     n capacity;
-  Printf.printf "  %-12s | %-10s | %-10s | %-9s | %s\n" "offered/s" "accepted/s"
-    "rejected" "max queue" "stale reads";
+  Printf.printf "  %-12s | %-10s | %-10s | %-10s | %-9s | %s\n" "offered/s" "sent/s"
+    "accepted/s" "rejected" "max queue" "stale reads";
   let saw_rejection = ref false and depth_ok = ref true in
   List.iter
     (fun rate ->
@@ -299,7 +300,19 @@ let degradation ~n =
       let acc = ref 0 and rej = ref 0 and max_depth = ref 0 and stale = ref 0 in
       let i = ref 0 in
       let t0 = now () in
-      while now () -. t0 < window do
+      (* offer i is due at t0 + i * period: sleep to within 1 ms of it,
+         then spin (sleepf is coarser than the period at high rates). A
+         loop that falls behind offers at once and catches up. *)
+      let rec wait_until due =
+        let left = due -. now () in
+        if left > 0.001 then begin
+          Unix.sleepf (left -. 0.001);
+          wait_until due
+        end
+        else if left > 0. then wait_until due
+      in
+      while float_of_int !i *. period < window && now () -. t0 < window do
+        wait_until (t0 +. (float_of_int !i *. period));
         let u, v = edges.(!i mod m) in
         let op =
           if !i / m mod 2 = 0 then Delta.Remove_edge (u, v)
@@ -316,13 +329,14 @@ let degradation ~n =
         if !i mod 40 = 0 then begin
           let r = Service.query ~deadline_s:0.5 svc Service.Stats in
           if r.Service.stale then incr stale
-        end;
-        (* spin at high rates: sleepf granularity is coarser than the period *)
-        if period > 0.0005 then Unix.sleepf period
+        end
       done;
       if !rej > 0 then saw_rejection := true;
       if !max_depth > capacity then depth_ok := false;
-      Printf.printf "  %-12d | %-10.0f | %-10s | %-9d | %d\n" rate
+      (* sent/s falls short of offered/s only if offering itself cannot
+         keep the schedule *)
+      Printf.printf "  %-12d | %-10.0f | %-10.0f | %-10s | %-9d | %d\n" rate
+        (float_of_int (!acc + !rej) /. window)
         (float_of_int !acc /. window)
         (Printf.sprintf "%d (%.0f%%)" !rej
            (100.0 *. float_of_int !rej /. float_of_int (max 1 (!acc + !rej))))

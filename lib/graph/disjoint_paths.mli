@@ -6,7 +6,13 @@
     We reduce to min-cost unit-capacity flow by vertex splitting: each
     vertex other than [s], [t] becomes an arc of capacity one, each
     undirected edge two opposite arcs of cost one. The cumulative cost
-    after the i-th augmentation is exactly [d^i(s,t)]. *)
+    after the i-th augmentation is exactly [d^i(s,t)].
+
+    The flow network is never built: successive shortest paths run on
+    the implicit residual graph of [g]'s CSR, with flow and potentials
+    in generation stamps on a domain-local scratch (one query at a time
+    per domain, like {!Bfs.Scratch}). A query allocates its result and
+    costs what its Dijkstra rounds touch, not O(n + m). *)
 
 val dk_profile : Graph.t -> kmax:int -> int -> int -> int array
 (** [dk_profile g ~kmax s t] returns an array [a] with

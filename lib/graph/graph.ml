@@ -181,6 +181,7 @@ let neighbors g u = (adjacency g).(u)
 let degree g u = g.off.(u + 1) - g.off.(u)
 
 let csr g = (g.off, g.nbr)
+let csr_edge_ids g = g.nbr_eid
 
 let iter_neighbors g u f =
   let nbr = g.nbr in

@@ -69,6 +69,13 @@ val csr : t -> int array * int array
     increasing. Both arrays are owned by the graph and must not be
     mutated. Intended for allocation-free inner loops (BFS). *)
 
+val csr_edge_ids : t -> int array
+(** The canonical edge id of every packed neighbor, in lock-step with
+    the second array of {!csr}: slot [i] of vertex [u]'s range holds
+    the id of edge [u]–[nbr.(i)]. Owned by the graph; do not mutate.
+    Lets per-edge state be keyed by id inside a CSR scan, with no
+    {!edge_id} probe. *)
+
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** [iter_neighbors g u f] calls [f v] for every neighbor [v] of [u]
     in increasing order, without allocating. *)

@@ -38,9 +38,11 @@ type state = {
   mutable repair_mismatches : int;
 }
 
-(* belief distances from [dst] in (stale H + c's current links);
-   mirrors Link_state.dist_from_in_view but with a decoupled stale
-   adjacency *)
+(* belief distances from [dst] in (stale H + c's current links), one
+   search per hop. Link_state.route serves every hop from one BFS over
+   H, but that identity needs H inside G; a stale H may still hold
+   links at c that are gone from G, so here each hop searches its own
+   view. *)
 let belief_dist ~n ~stale_adj ~current c dst =
   let dist = Array.make n (-1) in
   let queue = Array.make n 0 in

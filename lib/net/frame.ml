@@ -33,8 +33,9 @@ let () =
    (pipes in tests) the setsockopt fails and the op simply blocks,
    which those callers accept. *)
 let set_timeout fd opt timeout_s =
-  try Unix.setsockopt_float fd opt (Float.max 0.001 timeout_s)
-  with Unix.Unix_error _ | Invalid_argument _ -> ()
+  (* a zero timeout is none: the op blocks until data or a shutdown *)
+  let t = if timeout_s = Float.infinity then 0. else Float.max 0.001 timeout_s in
+  try Unix.setsockopt_float fd opt t with Unix.Unix_error _ | Invalid_argument _ -> ()
 
 let is_timeout = function
   | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT -> true
@@ -71,9 +72,10 @@ let write_all fd ~timeout_s s =
    only there is a clean close [Closed] and a passed deadline
    [Timeout]. Past the first byte of a frame either one is [Corrupt] —
    the stream is out of step, and a caller that retried after a
-   [Timeout] would read the rest of the frame as a header. *)
-let read_exact fd ~timeout_s ~boundary len =
-  set_timeout fd Unix.SO_RCVTIMEO timeout_s;
+   [Timeout] would read the rest of the frame as a header. [first_s]
+   is the patience for the first byte; [timeout_s] holds from then on. *)
+let read_exact fd ~first_s ~timeout_s ~boundary len =
+  set_timeout fd Unix.SO_RCVTIMEO first_s;
   let b = Bytes.create len in
   let mid_frame reason =
     Obs.incr c_frame_errors;
@@ -84,7 +86,9 @@ let read_exact fd ~timeout_s ~boundary len =
     else
       match Unix.read fd b off (len - off) with
       | 0 -> if off = 0 && boundary then Error Closed else mid_frame "peer closed mid-frame"
-      | k -> go (off + k)
+      | k ->
+          if off = 0 && first_s <> timeout_s then set_timeout fd Unix.SO_RCVTIMEO timeout_s;
+          go (off + k)
       | exception Unix.Unix_error (e, _, _) when is_timeout e ->
           Obs.incr c_read_timeouts;
           if off = 0 && boundary then Error Timeout
@@ -113,8 +117,9 @@ let send fd ~timeout_s payload =
     | Error _ as e -> e
   end
 
-let recv fd ~timeout_s =
-  match read_exact fd ~timeout_s ~boundary:true header_len with
+let recv ?idle_s fd ~timeout_s =
+  let first_s = Option.value idle_s ~default:timeout_s in
+  match read_exact fd ~first_s ~timeout_s ~boundary:true header_len with
   | Error _ as e -> e
   | Ok hdr -> (
       let len = Int32.to_int (String.get_int32_le hdr 0) land 0xFFFFFFFF in
@@ -125,7 +130,7 @@ let recv fd ~timeout_s =
           (Corrupt (Printf.sprintf "frame announces %d bytes (cap %d)" len max_payload))
       end
       else
-        match read_exact fd ~timeout_s ~boundary:false len with
+        match read_exact fd ~first_s:timeout_s ~timeout_s ~boundary:false len with
         | Error _ as e -> e
         | Ok payload ->
             if Crc32.of_string payload <> crc then begin

@@ -235,13 +235,16 @@ let heartbeats ld () =
 let send_quiet ld fd payload =
   ignore (Frame.send fd ~timeout_s:ld.l_cfg.frame_timeout_s payload)
 
+(* An idle session waits for its next request with no deadline: the
+   thread sleeps in [read] until a frame, a close, or the [shutdown]
+   that [stop_leader] and [leader_drop_connections] give every
+   connection. Inside a frame and on sends the frame deadline holds. *)
 let query_session ld fd =
   let rec loop () =
     if Atomic.get ld.l_stop then ()
     else
-      match Frame.recv fd ~timeout_s:ld.l_cfg.frame_timeout_s with
-      | Error Frame.Timeout -> loop ()
-      | Error (Frame.Closed | Frame.Corrupt _) -> ()
+      match Frame.recv fd ~idle_s:Float.infinity ~timeout_s:ld.l_cfg.frame_timeout_s with
+      | Error _ -> ()
       | Ok p when String.length p >= 1 && p.[0] = 'L' -> (
           let line = String.sub p 1 (String.length p - 1) in
           match Proto.exec ld.l_env line with

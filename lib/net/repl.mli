@@ -26,7 +26,9 @@
       disconnect reasons travel as ['E' reason].
 
     Robustness contract:
-    - every read/write runs against a {!Frame} deadline;
+    - every read/write runs against a {!Frame} deadline, except an
+      idle query session's wait for its next request, which ends on
+      a frame, a close or the socket shutdown of {!stop_leader};
     - each follower is fed through a {e bounded} send buffer — a
       replica that cannot keep up is disconnected with an explicit
       ['E'] reason, the leader never buffers without bound;
@@ -65,7 +67,9 @@ val write_epoch : dir:string -> int -> unit
 (** {1 Leader} *)
 
 type leader_config = {
-  frame_timeout_s : float;  (** per-frame read/write deadline *)
+  frame_timeout_s : float;
+      (** per-frame read/write deadline (an idle query session's
+          wait for the next request's first byte has none) *)
   heartbeat_s : float;  (** period of the heartbeat sent to every follower *)
   send_capacity : int;  (** per-follower send buffer, in frames *)
   overflow_patience_s : float Atomic.t;

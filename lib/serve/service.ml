@@ -107,9 +107,7 @@ let b_rebuild = function
 type strategy_view = {
   sv_spec : Repair.spec;
   sv_spanner : Edge_set.t;
-  sv_adj : int array array;
-  sv_graph : Graph.t;  (* the spanner as a standalone graph *)
-  sv_ls : Link_state.t;
+  sv_ls : Link_state.t;  (* holds the spanner as a standalone CSR graph *)
 }
 
 type view = {
@@ -123,9 +121,7 @@ let make_view b =
     b_states b
     |> List.map (fun (spec, st) ->
            let g, sp = Repair.publish st in
-           let ls = Link_state.make g sp in
-           { sv_spec = spec; sv_spanner = sp; sv_adj = Link_state.adjacency ls;
-             sv_graph = Edge_set.to_graph sp; sv_ls = ls })
+           { sv_spec = spec; sv_spanner = sp; sv_ls = Link_state.make g sp })
     |> Array.of_list
   in
   { v_seq = b_seq b; v_graph = b_graph b; v_strategies = strategies }
@@ -351,7 +347,13 @@ let eval t v p =
   | Advert u ->
       check_node "node" u;
       let sv = strategy () in
-      Advert_a (Array.to_list sv.sv_adj.(u))
+      (* the spanner's CSR row, sorted like the advertised link list *)
+      let off, nbr = Graph.csr (Link_state.spanner sv.sv_ls) in
+      let links = ref [] in
+      for i = off.(u + 1) - 1 downto off.(u) do
+        links := nbr.(i) :: !links
+      done;
+      Advert_a !links
   | Route { src; dst } ->
       check_node "src" src;
       check_node "dst" dst;
@@ -368,7 +370,8 @@ let eval t v p =
       if k < 1 then failwith "k must be >= 1";
       if src = dst then failwith "paths: src = dst";
       let sv = strategy () in
-      Paths_a (Option.map paths_to_lists (Disjoint_paths.min_sum_paths sv.sv_graph ~k src dst))
+      let h = Link_state.spanner sv.sv_ls in
+      Paths_a (Option.map paths_to_lists (Disjoint_paths.min_sum_paths h ~k src dst))
 
 let respond p resp =
   Mutex.lock p.p_m;

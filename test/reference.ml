@@ -2,7 +2,10 @@
    flat pair trees: the oracle that [Rs_core.Certificate], the
    library's only checker, is compared against. Also home of
    [extract_k21], the constructive audit of Proposition 4's premise
-   that only the tests run. Everything reads the definitions word for
+   that only the tests run, and of the straightforward routing and
+   disjoint-path engines that [Link_state] and [Disjoint_paths]
+   replaced (a fresh BFS of H_c per hop; a built min-cost-flow
+   network per query). Everything reads the definitions word for
    word and favours clarity over speed: trees are hashtables,
    distances come from a full BFS. *)
 open Rs_graph
@@ -176,3 +179,121 @@ let extract_k21 g h ~k u =
     && Certificate.check (Certificate.create ()) g (Sharded.Mis_k { k }) ~root:u pairs
   then Some pairs
   else None
+
+(* ---- link-state forwarding, one H_c search per hop ---- *)
+
+(* BFS from [dst] in H_c (H plus the star of c's real incident edges).
+   Returns the distance array. *)
+let dist_from_in_view g h_adj ~view:c dst =
+  let n = Graph.n g in
+  let dist = Array.make n (-1) in
+  let queue = Array.make n 0 in
+  dist.(dst) <- 0;
+  queue.(0) <- dst;
+  let head = ref 0 and tail = ref 1 in
+  let push v d =
+    if dist.(v) < 0 then begin
+      dist.(v) <- d;
+      queue.(!tail) <- v;
+      incr tail
+    end
+  in
+  while !head < !tail do
+    let x = queue.(!head) in
+    incr head;
+    let dx = dist.(x) in
+    Array.iter (fun y -> push y (dx + 1)) h_adj.(x);
+    if x = c then Array.iter (fun y -> push y (dx + 1)) (Graph.neighbors g c)
+    else if Graph.mem_edge g c x then push c (dx + 1)
+  done;
+  dist
+
+(* [h_adj] is [Edge_set.to_adjacency h] *)
+let next_hop g h_adj ~src ~dst =
+  if src = dst then None
+  else begin
+    let dist = dist_from_in_view g h_adj ~view:src dst in
+    let best = ref (-1) and best_d = ref max_int in
+    Array.iter
+      (fun w ->
+        if dist.(w) >= 0 && dist.(w) < !best_d then begin
+          best := w;
+          best_d := dist.(w)
+        end)
+      (Graph.neighbors g src);
+    if !best < 0 then None else Some !best
+  end
+
+let route g h_adj ~src ~dst =
+  if src = dst then Some [ src ]
+  else begin
+    let limit = Graph.n g in
+    let rec forward c acc hops =
+      if c = dst then Some (List.rev (c :: acc))
+      else if hops > limit then None
+      else
+        match next_hop g h_adj ~src:c ~dst with
+        | None -> None
+        | Some w -> forward w (c :: acc) (hops + 1)
+    in
+    forward src [] 0
+  end
+
+(* ---- k disjoint paths through a built min-cost-flow network ---- *)
+
+(* Vertex split: x_in = 2x, x_out = 2x+1. Source is s_out, sink t_in. *)
+let build_network g s t =
+  let n = Graph.n g in
+  let net = Mincost_flow.create (2 * n) in
+  for x = 0 to n - 1 do
+    if x <> s && x <> t then
+      Mincost_flow.add_arc net ~src:(2 * x) ~dst:((2 * x) + 1) ~cap:1 ~cost:0
+  done;
+  Graph.iter_edges
+    (fun a b ->
+      Mincost_flow.add_arc net ~src:((2 * a) + 1) ~dst:(2 * b) ~cap:1 ~cost:1;
+      Mincost_flow.add_arc net ~src:((2 * b) + 1) ~dst:(2 * a) ~cap:1 ~cost:1)
+    g;
+  net
+
+let dk_profile g ~kmax s t =
+  let net = build_network g s t in
+  let units = Mincost_flow.min_cost_units net ~s:((2 * s) + 1) ~t_:(2 * t) ~max_units:kmax in
+  let acc = ref 0 in
+  Array.of_list (List.map (fun c -> acc := !acc + c; !acc) units)
+
+let min_sum_paths g ~k s t =
+  let net = build_network g s t in
+  let units = Mincost_flow.min_cost_units net ~s:((2 * s) + 1) ~t_:(2 * t) ~max_units:k in
+  if List.length units < k then None
+  else begin
+    (* Decompose the flow into k s-t paths. Edge arcs with flow give a
+       successor multimap on out-nodes; vertex arcs have cap 1 so each
+       internal vertex appears on at most one path. *)
+    let succ : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+    List.iter
+      (fun (src, dst, _flow) ->
+        (* only edge arcs (out -> in) matter; vertex arcs are in -> out *)
+        if src land 1 = 1 && dst land 1 = 0 then
+          Hashtbl.replace succ src (dst :: (Option.value ~default:[] (Hashtbl.find_opt succ src))))
+      (Mincost_flow.arcs_with_flow net);
+    let take_succ v =
+      match Hashtbl.find_opt succ v with
+      | Some (x :: rest) ->
+          Hashtbl.replace succ v rest;
+          Some x
+      | Some [] | None -> None
+    in
+    let walk () =
+      let rec go v acc =
+        (* v is a vertex id; acc is the reversed path so far *)
+        if v = t then List.rev (t :: acc)
+        else
+          match take_succ ((2 * v) + 1) with
+          | Some win -> go (win / 2) (v :: acc)
+          | None -> invalid_arg "Reference.min_sum_paths: broken flow decomposition"
+      in
+      go s []
+    in
+    Some (List.init k (fun _ -> walk ()))
+  end

@@ -162,6 +162,93 @@ let test_dk_vs_bruteforce_small () =
       done)
     [ Gen.petersen (); Gen.cycle 5; Gen.grid 3 4; Gen.complete 5 ]
 
+(* The implicit-residual engine against the built-network reference
+   (test/reference.ml), on random graphs — some disconnected — and on
+   the spanners the serving stack answers [paths] queries over. *)
+let graphs_of_seed seed =
+  let rand = Rand.create seed in
+  let n = 2 + Rand.int rand 22 in
+  let g =
+    match Rand.int rand 4 with
+    | 0 -> Gen.erdos_renyi rand n (0.05 +. Rand.float rand 0.25)
+    | 1 -> Gen.random_connected rand n 0.2
+    | 2 ->
+        let side = sqrt (float_of_int n /. 3.0) in
+        Rs_geometry.Unit_ball.udg (Rs_geometry.Sampler.uniform rand ~n ~dim:2 ~side)
+    | _ ->
+        (* two dense halves with no edge between them *)
+        let half = max 1 (n / 2) in
+        Graph.make ~n
+          (List.filter
+             (fun (u, v) -> (u < half) = (v < half))
+             (Array.to_list (Graph.edges (Gen.erdos_renyi rand n 0.5))))
+  in
+  let open Rs_core in
+  g
+  :: List.map Edge_set.to_graph
+       [ Remote_spanner.exact_distance g;
+         Remote_spanner.low_stretch g ~eps:0.5;
+         Remote_spanner.k_connecting g ~k:2;
+         Baseline.bfs_tree g ~root:0;
+         Baseline.full g ]
+
+let for_all_pairs g f =
+  let ok = ref true in
+  for s = 0 to Graph.n g - 1 do
+    for t = 0 to Graph.n g - 1 do
+      if s <> t && not (f s t) then ok := false
+    done
+  done;
+  !ok
+
+let qtest name prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:30
+       QCheck2.Gen.(map graphs_of_seed (int_range 0 1_000_000))
+       (List.for_all prop))
+
+let prop_dk_profile_matches_reference g =
+  for_all_pairs g (fun s t ->
+      List.for_all
+        (fun kmax -> Disjoint_paths.dk_profile g ~kmax s t = Reference.dk_profile g ~kmax s t)
+        [ 1; 2; 3 ])
+
+let total paths = List.fold_left (fun acc p -> acc + Path.length p) 0 paths
+
+(* The third path must reroute along cancelled flow, so a round whose
+   Dijkstra ran on raw costs (no potential update) settles a node too
+   early and reports 11; random graphs this small hit such a case in
+   well under one pair in a thousand. *)
+let test_potentials_witness () =
+  let g =
+    Graph.make ~n:11
+      [ (0, 4); (0, 6); (0, 7); (1, 4); (2, 3); (2, 4); (3, 5); (3, 8); (5, 6); (5, 9);
+        (5, 10); (6, 10); (7, 8); (7, 9); (8, 10) ]
+  in
+  Alcotest.(check (array int)) "profile" [| 1; 5; 10 |] (Disjoint_paths.dk_profile g ~kmax:3 7 0);
+  Alcotest.(check (array int)) "reference" [| 1; 5; 10 |] (Reference.dk_profile g ~kmax:3 7 0);
+  match Disjoint_paths.min_sum_paths g ~k:3 7 0 with
+  | None -> Alcotest.fail "three paths exist"
+  | Some ps ->
+      check_int "total" 10 (total ps);
+      check "disjoint" true (Path.pairwise_disjoint ps)
+
+let prop_min_sum_paths_matches_reference g =
+  for_all_pairs g (fun s t ->
+      List.for_all
+        (fun k ->
+          match (Disjoint_paths.min_sum_paths g ~k s t, Reference.min_sum_paths g ~k s t) with
+          | None, None -> true
+          | Some ps, Some rs ->
+              List.length ps = k
+              && total ps = total rs
+              && List.for_all
+                   (fun p -> Path.is_valid g p && Path.source p = s && Path.target p = t)
+                   ps
+              && Path.pairwise_disjoint ps
+          | _ -> false)
+        [ 1; 2; 3 ])
+
 (* ------------------------------------------------------------------ *)
 (* Connectivity *)
 
@@ -293,6 +380,9 @@ let () =
           Alcotest.test_case "paths valid+disjoint" `Quick test_min_sum_paths_valid_and_disjoint;
           Alcotest.test_case "infeasible" `Quick test_min_sum_paths_infeasible;
           Alcotest.test_case "d^1 = bfs" `Quick test_dk_vs_bruteforce_small;
+          qtest "dk_profile = network reference" prop_dk_profile_matches_reference;
+          Alcotest.test_case "potentials witness" `Quick test_potentials_witness;
+          qtest "min_sum_paths = network reference" prop_min_sum_paths_matches_reference;
         ] );
       ( "connectivity",
         [

@@ -409,6 +409,49 @@ let test_dist_allocates_only_result () =
   check "dist" true (alloc_bytes (fun () -> Bfs.dist g 0) < budget);
   check "parents" true (alloc_bytes (fun () -> Bfs.parents g 0) < budget)
 
+(* Reads at the serving scale (udg2000, the exact spanner) with a warm
+   domain-local scratch: a route costs one BFS over H and the path, a
+   2-paths query its touched residual nodes and the paths. Words are
+   the worst over a spread of pairs; a direct major allocation (any
+   block over 256 words — an n- or m-sized array here) fails the
+   gate whatever its size. *)
+let read_alloc f =
+  ignore (Sys.opaque_identity (f ()));
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0, major1 -. major0 -. (promoted1 -. promoted0))
+
+let serving = lazy (
+  let g = udg 4242 2000 in
+  (g, Rs_routing.Link_state.make g (Remote_spanner.exact_distance g)))
+
+let read_pairs g =
+  let n = Graph.n g in
+  List.init 16 (fun i -> ((i * 7919) mod n, ((i * 104729) + (n / 2)) mod n))
+  |> List.filter (fun (s, t) -> s <> t && Bfs.dist_pair g s t > 0)
+
+let check_reads name budget f =
+  let g, _ = Lazy.force serving in
+  let pairs = read_pairs g in
+  check "some pairs" true (List.length pairs >= 8);
+  List.iter
+    (fun (s, t) ->
+      let words, direct = read_alloc (fun () -> f s t) in
+      if words > budget || direct > 0.0 then
+        Alcotest.failf "%s %d->%d: %.0f minor words (budget %.0f), %.0f direct major" name s t
+          words budget direct)
+    pairs
+
+let test_route_allocation () =
+  let _, ls = Lazy.force serving in
+  check_reads "route" 1000.0 (fun src dst -> Rs_routing.Link_state.route ls ~src ~dst)
+
+let test_paths_allocation () =
+  let _, ls = Lazy.force serving in
+  let h = Rs_routing.Link_state.spanner ls in
+  check_reads "min_sum_paths ~k:2" 4000.0 (fun s t -> Disjoint_paths.min_sum_paths h ~k:2 s t)
+
 (* ---------- lazy greedy vs eager reference ---------- *)
 
 let test_lazy_greedy_matches_eager () =
@@ -518,6 +561,8 @@ let () =
           Alcotest.test_case "run is allocation-free" `Quick test_scratch_run_allocation_free;
           Alcotest.test_case "dist allocates only the result" `Quick
             test_dist_allocates_only_result;
+          Alcotest.test_case "route allocates only the path" `Quick test_route_allocation;
+          Alcotest.test_case "2 paths allocate only the paths" `Quick test_paths_allocation;
         ] );
       ( "lazy-greedy",
         [ Alcotest.test_case "matches eager picks" `Quick test_lazy_greedy_matches_eager ] );

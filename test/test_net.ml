@@ -121,6 +121,29 @@ let test_frame_deadline_mid_frame () =
   Unix.close a;
   Unix.close b
 
+(* With no idle deadline, recv sleeps until a frame or a shutdown; once
+   a frame has started, the frame deadline still applies. *)
+let test_frame_idle_wait () =
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  let t0 = Unix.gettimeofday () in
+  let th = Thread.create (fun () -> Thread.delay 0.3; Unix.shutdown b Unix.SHUTDOWN_ALL) () in
+  (match Frame.recv b ~idle_s:Float.infinity ~timeout_s:0.05 with
+  | Error Frame.Closed -> ()
+  | Error e -> Alcotest.failf "expected Closed, got %s" (Frame.error_to_string e)
+  | Ok _ -> Alcotest.fail "an idle wait returned a frame");
+  Thread.join th;
+  check "outwaited the frame deadline" true (Unix.gettimeofday () -. t0 >= 0.25);
+  Unix.close a;
+  Unix.close b;
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  ignore (Unix.write_substring a "\x10\x00\x00\x00" 0 4);
+  (match Frame.recv b ~idle_s:Float.infinity ~timeout_s:0.1 with
+  | Error (Frame.Corrupt _) -> ()
+  | Error e -> Alcotest.failf "expected Corrupt, got %s" (Frame.error_to_string e)
+  | Ok _ -> Alcotest.fail "half a header returned a frame");
+  Unix.close a;
+  Unix.close b
+
 (* {1 Snapshot forward compatibility} *)
 
 let sample_snapshot () =
@@ -284,6 +307,44 @@ let test_many_query_sessions () =
   List.iter Unix.close fds;
   ignore (Service.stop svc)
 
+(* An idle query session sleeps until its next request: no read
+   deadline fires however long it idles past the frame timeout, it is
+   still served afterwards, and stopping the leader ends it. *)
+let test_idle_query_session () =
+  with_obs @@ fun () ->
+  let g = Gen.random_connected (Rand.create 5) 30 0.2 in
+  let svc =
+    Service.start
+      { Service.default_config with readers = 1; watchdog_s = 0. }
+      (Service.Ephemeral { specs = [ Rs_dynamic.Repair.Gdy_k { k = 1 } ]; g })
+  in
+  let config = { (Repl.default_leader_config ()) with Repl.frame_timeout_s = 0.05 } in
+  let ld =
+    match Repl.lead ~config ~service:svc ~store_dir:None ~host:"127.0.0.1" ~port:0 () with
+    | Ok ld -> ld
+    | Error e -> Alcotest.fail e
+  in
+  let fd =
+    match Repl.connect_query ~host:"127.0.0.1" ~port:(Repl.leader_port ld) ~timeout_s:5.0 with
+    | Ok fd -> fd
+    | Error e -> Alcotest.failf "connect: %s" e
+  in
+  let timeouts () = Obs.counter_value (Obs.counter "net/read_timeouts") in
+  (match Repl.request fd ~timeout_s:5.0 "stats" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "first request: %s" e);
+  let before = timeouts () in
+  Thread.delay 0.5;
+  check_int "no deadline while idle" 0 (timeouts () - before);
+  (match Repl.request fd ~timeout_s:5.0 "stats" with
+  | Ok reply -> check "served after idling" true (contains reply "stats: n=30")
+  | Error e -> Alcotest.failf "request after idling: %s" e);
+  let t0 = Unix.gettimeofday () in
+  Repl.stop_leader ld;
+  check "stop ends the idle session" true (Unix.gettimeofday () -. t0 < 2.0);
+  Unix.close fd;
+  ignore (Service.stop svc)
+
 (* At a full fd table a connection beyond it is refused and counted,
    the accept loop does not spin, and service resumes once fds free.
    A blocked [accept] already holds the slot for the next connection,
@@ -357,6 +418,7 @@ let () =
          Alcotest.test_case "crc rejects" `Quick test_frame_crc_rejects;
          Alcotest.test_case "close kinds" `Quick test_frame_close_kinds;
          Alcotest.test_case "timeout" `Quick test_frame_timeout;
+         Alcotest.test_case "idle wait has no deadline" `Quick test_frame_idle_wait;
          Alcotest.test_case "deadline mid-frame is corrupt" `Quick
            test_frame_deadline_mid_frame ]);
       ("snapshot",
@@ -369,6 +431,7 @@ let () =
            test_wal_gap_at_rotation ]);
       ( "tcp",
         [ Alcotest.test_case "200 concurrent query sessions" `Quick test_many_query_sessions;
+          Alcotest.test_case "idle session sleeps" `Quick test_idle_query_session;
           Alcotest.test_case "refuses at a full fd table" `Quick test_full_fd_table;
           Alcotest.test_case "connect past fd 1024" `Quick test_connect_high_fd ] );
       ("chaos", [ Alcotest.test_case "all scenarios" `Slow test_net_chaos ]) ]

@@ -124,6 +124,97 @@ let test_wrong_host_rejected () =
     (match Link_state.make g h with _ -> false | exception Invalid_argument _ -> true)
 
 (* ---------------------------------------------------------------- *)
+(* One BFS per route = one H_c search per hop *)
+
+(* random graphs, a third of them disconnected by construction (two
+   vertex-disjoint halves), and sparse Gnp that often is *)
+let graph_of_seed seed =
+  let rand = Rand.create seed in
+  let n = 2 + Rand.int rand 24 in
+  match Rand.int rand 4 with
+  | 0 -> Gen.erdos_renyi rand n (0.05 +. Rand.float rand 0.2)
+  | 1 -> Gen.random_connected rand n 0.15
+  | 2 -> udg (Rand.int rand 1_000_000) n
+  | _ ->
+      let half = n / 2 in
+      let a = Gen.erdos_renyi rand (max 1 half) 0.4 in
+      let b = Gen.erdos_renyi rand (n - max 1 half) 0.4 in
+      let shift = Graph.n a in
+      Graph.make ~n
+        (Array.to_list (Graph.edges a)
+        @ List.map (fun (u, v) -> (u + shift, v + shift)) (Array.to_list (Graph.edges b)))
+
+let spanners g =
+  [ ("exact", Remote_spanner.exact_distance g);
+    ("low-stretch", Remote_spanner.low_stretch g ~eps:0.5);
+    ("2-connecting", Remote_spanner.k_connecting g ~k:2);
+    ("bfs_tree", Baseline.bfs_tree g ~root:0);
+    ("full", Baseline.full g) ]
+
+let qtest ?(count = 40) name prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count
+       QCheck2.Gen.(map graph_of_seed (int_range 0 1_000_000))
+       ~print:(fun g -> Format.asprintf "%a" Graph.pp g)
+       prop)
+
+let prop_route_matches_reference g =
+  List.for_all
+    (fun (_, h) ->
+      let ls = Link_state.make g h and h_adj = Edge_set.to_adjacency h in
+      let n = Graph.n g in
+      let ok = ref true in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          if Link_state.route ls ~src ~dst <> Reference.route g h_adj ~src ~dst
+             || Link_state.next_hop ls ~src ~dst <> Reference.next_hop g h_adj ~src ~dst
+          then ok := false
+        done
+      done;
+      !ok)
+    (spanners g)
+
+(* the integer fields of the destination-major report equal a per-pair
+   walk with the reference forwarding *)
+let prop_measure_stretch_matches_reference g =
+  List.for_all
+    (fun (_, h) ->
+      let ls = Link_state.make g h and h_adj = Edge_set.to_adjacency h in
+      let r = Link_state.measure_stretch ls in
+      let pairs = ref 0 and delivered = ref 0 and worst_add = ref 0 and hops = ref 0 in
+      Graph.iter_vertices
+        (fun s ->
+          Graph.iter_vertices
+            (fun d ->
+              let dg = Bfs.dist_pair g s d in
+              if s <> d && dg > 0 then begin
+                incr pairs;
+                match Reference.route g h_adj ~src:s ~dst:d with
+                | None -> ()
+                | Some p ->
+                    incr delivered;
+                    hops := !hops + Path.length p;
+                    worst_add := max !worst_add (Path.length p - dg)
+              end)
+            g)
+        g;
+      r.Link_state.pairs = !pairs
+      && r.Link_state.delivered = !delivered
+      && r.Link_state.worst_add = !worst_add
+      && r.Link_state.hops_total = !hops)
+    (spanners g)
+
+let test_spanner_is_the_csr_of_h () =
+  let g = udg 123 60 in
+  let h = Remote_spanner.exact_distance g in
+  let ls = Link_state.make g h in
+  let sp = Link_state.spanner ls in
+  check "same edges" true (Graph.edges sp = Array.of_list (Edge_set.to_list h));
+  let adj = Edge_set.to_adjacency h in
+  Graph.iter_vertices (fun u -> check "rows" true (Graph.neighbors sp u = adj.(u))) g;
+  check_int "advert = 2|H|" (2 * Edge_set.cardinal h) (Link_state.advertisement_size ls)
+
+(* ---------------------------------------------------------------- *)
 (* Multipath *)
 
 let test_multipath_routes_disjoint () =
@@ -186,12 +277,15 @@ let () =
           Alcotest.test_case "tree delivers" `Quick test_bfs_tree_routing_delivers;
           Alcotest.test_case "next_hop none" `Quick test_next_hop_none_cases;
           Alcotest.test_case "route to self" `Quick test_route_self;
+          qtest "route, next_hop = per-hop reference" prop_route_matches_reference;
+          qtest "measure_stretch = per-pair reference" prop_measure_stretch_matches_reference;
         ] );
       ( "overhead",
         [
           Alcotest.test_case "advertisement size" `Quick test_advertisement_overhead;
           Alcotest.test_case "sampled pairs" `Quick test_measure_stretch_sampled_pairs;
           Alcotest.test_case "host mismatch" `Quick test_wrong_host_rejected;
+          Alcotest.test_case "spanner is H's CSR" `Quick test_spanner_is_the_csr_of_h;
         ] );
       ( "multipath",
         [
