@@ -243,9 +243,14 @@ let augment_upto sc g s t kmax a =
   in
   go 0 0
 
+(* Each disjoint path takes its own edge at s and at t, so no more
+   than this many exist; it caps every k-sized allocation. *)
+let degree_bound g s t = min (Graph.degree g s) (Graph.degree g t)
+
 let dk_profile g ~kmax s t =
   check_pair g s t;
   if kmax < 1 then invalid_arg "Disjoint_paths.dk_profile: kmax < 1";
+  let kmax = min kmax (degree_bound g s t) in
   let sc = start g in
   let a = Array.make kmax 0 in
   let got = augment_upto sc g s t kmax a in
@@ -255,13 +260,7 @@ let dk g ~k s t =
   let profile = dk_profile g ~kmax:k s t in
   if Array.length profile >= k then Some profile.(k - 1) else None
 
-let max_disjoint g s t =
-  check_pair g s t;
-  let bound = min (Graph.degree g s) (Graph.degree g t) in
-  if bound = 0 then 0
-  else
-    let profile = dk_profile g ~kmax:bound s t in
-    Array.length profile
+let max_disjoint g s t = Array.length (dk_profile g ~kmax:max_int s t)
 
 (* The flow out of [v]: its first neighbor w (by id) with flow on v->w,
    which is consumed. Each internal vertex has exactly one; s has k. *)
@@ -285,8 +284,7 @@ let min_sum_paths g ~k s t =
   check_pair g s t;
   if k < 1 then invalid_arg "Disjoint_paths.min_sum_paths: k < 1";
   let sc = start g in
-  let got = augment_upto sc g s t k (Array.make k 0) in
-  if got < k then None
+  if k > degree_bound g s t || augment_upto sc g s t k (Array.make k 0) < k then None
   else begin
     (* a min-cost flow has no cycle (every edge arc costs 1), so
        following the flow from s reaches t on a simple path *)

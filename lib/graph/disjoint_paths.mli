@@ -12,7 +12,9 @@
     the implicit residual graph of [g]'s CSR, with flow and potentials
     in generation stamps on a domain-local scratch (one query at a time
     per domain, like {!Bfs.Scratch}). A query allocates its result and
-    costs what its Dijkstra rounds touch, not O(n + m). *)
+    costs what its Dijkstra rounds touch, not O(n + m). No allocation
+    is sized by [k] or [kmax] beyond min(deg s, deg t), the most
+    disjoint paths there can be, so callers may pass any k. *)
 
 val dk_profile : Graph.t -> kmax:int -> int -> int -> int array
 (** [dk_profile g ~kmax s t] returns an array [a] with

@@ -32,10 +32,10 @@ let () =
    nonblocking state machines. Sockets support them; for other fds
    (pipes in tests) the setsockopt fails and the op simply blocks,
    which those callers accept. *)
-let set_timeout fd opt timeout_s =
-  (* a zero timeout is none: the op blocks until data or a shutdown *)
-  let t = if timeout_s = Float.infinity then 0. else Float.max 0.001 timeout_s in
+let sockopt fd opt t =
   try Unix.setsockopt_float fd opt t with Unix.Unix_error _ | Invalid_argument _ -> ()
+
+let set_timeout fd opt timeout_s = sockopt fd opt (Float.max 0.001 timeout_s)
 
 let is_timeout = function
   | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT -> true
@@ -72,10 +72,12 @@ let write_all fd ~timeout_s s =
    only there is a clean close [Closed] and a passed deadline
    [Timeout]. Past the first byte of a frame either one is [Corrupt] —
    the stream is out of step, and a caller that retried after a
-   [Timeout] would read the rest of the frame as a header. [first_s]
-   is the patience for the first byte; [timeout_s] holds from then on. *)
-let read_exact fd ~first_s ~timeout_s ~boundary len =
-  set_timeout fd Unix.SO_RCVTIMEO first_s;
+   [Timeout] would read the rest of the frame as a header. [idle]
+   waits for the first byte with no deadline (a zero SO_RCVTIMEO is
+   none: the read blocks until data, a close or a shutdown);
+   [timeout_s] holds from then on. *)
+let read_exact ?(idle = false) fd ~timeout_s ~boundary len =
+  if idle then sockopt fd Unix.SO_RCVTIMEO 0. else set_timeout fd Unix.SO_RCVTIMEO timeout_s;
   let b = Bytes.create len in
   let mid_frame reason =
     Obs.incr c_frame_errors;
@@ -87,7 +89,7 @@ let read_exact fd ~first_s ~timeout_s ~boundary len =
       match Unix.read fd b off (len - off) with
       | 0 -> if off = 0 && boundary then Error Closed else mid_frame "peer closed mid-frame"
       | k ->
-          if off = 0 && first_s <> timeout_s then set_timeout fd Unix.SO_RCVTIMEO timeout_s;
+          if off = 0 && idle then set_timeout fd Unix.SO_RCVTIMEO timeout_s;
           go (off + k)
       | exception Unix.Unix_error (e, _, _) when is_timeout e ->
           Obs.incr c_read_timeouts;
@@ -117,9 +119,8 @@ let send fd ~timeout_s payload =
     | Error _ as e -> e
   end
 
-let recv ?idle_s fd ~timeout_s =
-  let first_s = Option.value idle_s ~default:timeout_s in
-  match read_exact fd ~first_s ~timeout_s ~boundary:true header_len with
+let recv ?idle fd ~timeout_s =
+  match read_exact ?idle fd ~timeout_s ~boundary:true header_len with
   | Error _ as e -> e
   | Ok hdr -> (
       let len = Int32.to_int (String.get_int32_le hdr 0) land 0xFFFFFFFF in
@@ -130,7 +131,7 @@ let recv ?idle_s fd ~timeout_s =
           (Corrupt (Printf.sprintf "frame announces %d bytes (cap %d)" len max_payload))
       end
       else
-        match read_exact fd ~first_s:timeout_s ~timeout_s ~boundary:false len with
+        match read_exact fd ~timeout_s ~boundary:false len with
         | Error _ as e -> e
         | Ok payload ->
             if Crc32.of_string payload <> crc then begin

@@ -46,13 +46,12 @@ val send : Unix.file_descr -> timeout_s:float -> string -> (unit, error) result
 (** Write one frame, honoring the deadline across partial writes.
     Records [net/frames_out] and [net/bytes_out]. *)
 
-val recv : ?idle_s:float -> Unix.file_descr -> timeout_s:float -> (string, error) result
+val recv : ?idle:bool -> Unix.file_descr -> timeout_s:float -> (string, error) result
 (** Read one frame, verify its checksum, return the payload. A clean
     EOF {e between} frames is [Error Closed] and a deadline that passes
     there is [Error Timeout]; an EOF or a deadline {e inside} one is
     [Error (Corrupt _)], since the stream is no longer at a frame
-    boundary. [~idle_s] (default [timeout_s]) is the patience for the
-    frame's first byte, [timeout_s] the deadline from then on;
-    [Float.infinity] waits for the first byte with no deadline, until
-    data, a close or a [shutdown] of the socket. Records
+    boundary. [~idle:true] (default [false]) waits for the frame's
+    first byte with no deadline, until data, a close or a [shutdown]
+    of the socket; [timeout_s] holds from that byte on. Records
     [net/frames_in] and [net/bytes_in]. *)

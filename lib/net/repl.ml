@@ -243,7 +243,7 @@ let query_session ld fd =
   let rec loop () =
     if Atomic.get ld.l_stop then ()
     else
-      match Frame.recv fd ~idle_s:Float.infinity ~timeout_s:ld.l_cfg.frame_timeout_s with
+      match Frame.recv fd ~idle:true ~timeout_s:ld.l_cfg.frame_timeout_s with
       | Error _ -> ()
       | Ok p when String.length p >= 1 && p.[0] = 'L' -> (
           let line = String.sub p 1 (String.length p - 1) in

@@ -144,6 +144,22 @@ let test_min_sum_paths_valid_and_disjoint () =
 let test_min_sum_paths_infeasible () =
   check "infeasible" true (Disjoint_paths.min_sum_paths (Gen.path_graph 4) ~k:2 0 3 = None)
 
+(* k comes from clients ("paths a b k"): a huge one must cost what the
+   graph allows, not a k-sized array. 10^6 keeps a regression at 8 MB. *)
+let test_huge_k_is_bounded () =
+  let words f =
+    let b0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
+  in
+  ignore (Disjoint_paths.min_sum_paths theta34 ~k:1 0 1);
+  check "max_int paths" true (Disjoint_paths.min_sum_paths theta34 ~k:max_int 0 1 = None);
+  Alcotest.(check (array int)) "max_int profile" [| 5; 10; 15 |]
+    (Disjoint_paths.dk_profile theta34 ~kmax:max_int 0 1);
+  Alcotest.(check (option int)) "max_int dk" None (Disjoint_paths.dk theta34 ~k:max_int 0 1);
+  check "paths words" true (words (fun () -> Disjoint_paths.min_sum_paths theta34 ~k:1_000_000 0 1) < 1000.);
+  check "profile words" true (words (fun () -> Disjoint_paths.dk_profile theta34 ~kmax:1_000_000 0 1) < 1000.)
+
 let test_dk_vs_bruteforce_small () =
   (* d^1 must equal BFS distance on assorted graphs *)
   List.iter
@@ -379,6 +395,7 @@ let () =
           Alcotest.test_case "max disjoint" `Quick test_max_disjoint;
           Alcotest.test_case "paths valid+disjoint" `Quick test_min_sum_paths_valid_and_disjoint;
           Alcotest.test_case "infeasible" `Quick test_min_sum_paths_infeasible;
+          Alcotest.test_case "huge k is bounded" `Quick test_huge_k_is_bounded;
           Alcotest.test_case "d^1 = bfs" `Quick test_dk_vs_bruteforce_small;
           qtest "dk_profile = network reference" prop_dk_profile_matches_reference;
           Alcotest.test_case "potentials witness" `Quick test_potentials_witness;

@@ -127,7 +127,7 @@ let test_frame_idle_wait () =
   let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   let t0 = Unix.gettimeofday () in
   let th = Thread.create (fun () -> Thread.delay 0.3; Unix.shutdown b Unix.SHUTDOWN_ALL) () in
-  (match Frame.recv b ~idle_s:Float.infinity ~timeout_s:0.05 with
+  (match Frame.recv b ~idle:true ~timeout_s:0.05 with
   | Error Frame.Closed -> ()
   | Error e -> Alcotest.failf "expected Closed, got %s" (Frame.error_to_string e)
   | Ok _ -> Alcotest.fail "an idle wait returned a frame");
@@ -137,7 +137,7 @@ let test_frame_idle_wait () =
   Unix.close b;
   let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   ignore (Unix.write_substring a "\x10\x00\x00\x00" 0 4);
-  (match Frame.recv b ~idle_s:Float.infinity ~timeout_s:0.1 with
+  (match Frame.recv b ~idle:true ~timeout_s:0.1 with
   | Error (Frame.Corrupt _) -> ()
   | Error e -> Alcotest.failf "expected Corrupt, got %s" (Frame.error_to_string e)
   | Ok _ -> Alcotest.fail "half a header returned a frame");

@@ -126,7 +126,7 @@ let test_wrong_host_rejected () =
 (* ---------------------------------------------------------------- *)
 (* One BFS per route = one H_c search per hop *)
 
-(* random graphs, a third of them disconnected by construction (two
+(* random graphs, a quarter of them disconnected by construction (two
    vertex-disjoint halves), and sparse Gnp that often is *)
 let graph_of_seed seed =
   let rand = Rand.create seed in
