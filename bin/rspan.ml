@@ -1411,15 +1411,23 @@ let bind_addr ~cmd = function
 (* The running part of a serve or replica session. SIGTERM/SIGINT set
    the stop flag from [ready] on and are restored after [finish] has
    stopped the service. Lines come from the --script file, else from
-   stdin, polled so a signal lands between commands; on stdin EOF a
-   [resident] session keeps going until a signal or quit, any other
-   session ends. The stdin/script path and the TCP front evaluate lines
-   through the same Proto grammar, so replies are byte-identical on
-   either transport. [tick] runs before every line and every poll. *)
+   stdin; on stdin EOF a [resident] session keeps going until a signal
+   or quit, any other session ends. The stdin/script path and the TCP
+   front evaluate lines through the same Proto grammar, so replies are
+   byte-identical on either transport. *)
 let session ~cmd ~service ~ready ~on_delta ~bound ~store_dir ~announce ~script
-    ~resident ?(tick = ignore) ~finish () =
+    ~resident ~finish () =
   let stop = Atomic.make false in
-  let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+  (* the self-pipe: a signal writes one byte, which ends the select
+     below whichever thread the handler ran on *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_w;
+  let handler =
+    Sys.Signal_handle
+      (fun _ ->
+        Atomic.set stop true;
+        try ignore (Unix.write_substring wake_w "!" 0 1) with Unix.Unix_error _ -> ())
+  in
   let old_term = Sys.signal Sys.sigterm handler in
   let old_int = Sys.signal Sys.sigint handler in
   ready ();
@@ -1450,7 +1458,6 @@ let session ~cmd ~service ~ready ~on_delta ~bound ~store_dir ~announce ~script
       let rec go = function
         | [] -> ()
         | l :: rest ->
-            tick ();
             if not (Atomic.get stop) then begin
               exec l;
               if not !quit then go rest
@@ -1471,30 +1478,27 @@ let session ~cmd ~service ~ready ~on_delta ~bound ~store_dir ~announce ~script
             if not !quit then lines ()
       in
       let rec loop stdin_open =
-        tick ();
         if not (!quit || Atomic.get stop) then
-          if not stdin_open then begin
-            Unix.sleepf 0.1;
-            loop false
-          end
-          else
-            match Unix.select [ Unix.stdin ] [] [] 0.1 with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop true
-            | [], _, _ -> loop true
-            | _ ->
-                let k = Unix.read Unix.stdin chunk 0 (Bytes.length chunk) in
-                if k > 0 then begin
-                  Buffer.add_subbytes buf chunk 0 k;
-                  lines ();
-                  loop true
-                end
-                else if resident then loop false
+          let watched = if stdin_open then [ Unix.stdin; wake_r ] else [ wake_r ] in
+          match Unix.select watched [] [] (-1.) with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop stdin_open
+          | ready, _, _ when List.mem Unix.stdin ready ->
+              let k = Unix.read Unix.stdin chunk 0 (Bytes.length chunk) in
+              if k > 0 then begin
+                Buffer.add_subbytes buf chunk 0 k;
+                lines ();
+                loop true
+              end
+              else if resident then loop false
+          | _ -> loop stdin_open
       in
       loop true);
   Option.iter Repl.stop_leader front;
   finish ();
   Sys.set_signal Sys.sigterm old_term;
-  Sys.set_signal Sys.sigint old_int
+  Sys.set_signal Sys.sigint old_int;
+  Unix.close wake_r;
+  Unix.close wake_w
 
 let serve_cmd =
   let queue_arg =
@@ -1709,16 +1713,21 @@ let replica_cmd =
           | Error e -> Error (`Msg ("replica: " ^ e))
           | Ok r ->
               let svc = Repl.replica_service r in
-              let promoted = ref false in
-              let tick () =
-                if promote && (not !promoted) && Repl.gave_up r then begin
+              (* --promote-on-disconnect: a thread blocked until the
+                 follower gives up or the session finishes *)
+              let finishing = Atomic.make false in
+              let promoter () =
+                if
+                  Service.await svc (fun () -> Repl.gave_up r || Atomic.get finishing)
+                  && not (Atomic.get finishing)
+                then begin
                   let e = Repl.promote r in
-                  promoted := true;
                   Logs.app (fun m ->
                       m "replica: leader lost after %d retries; promoted to epoch %d at seq %d"
                         retries e (Service.view_seq svc))
                 end
               in
+              let promoter = if promote then Some (Thread.create promoter ()) else None in
               session ~cmd:"replica" ~service:svc
                 ~ready:(fun () ->
                   Logs.app (fun m ->
@@ -1730,8 +1739,11 @@ let replica_cmd =
                        "replica is read-only: offer deltas to the leader at %s:%d" lhost lport))
                 ~bound ~store_dir:None
                 ~announce:(fun h ld -> Printf.sprintf "tcp queries on %s:%d" h (Repl.leader_port ld))
-                ~script ~resident:true ~tick
+                ~script ~resident:true
                 ~finish:(fun () ->
+                  Atomic.set finishing true;
+                  Service.wake svc;
+                  Option.iter Thread.join promoter;
                   let st = Repl.stop_replica r in
                   Logs.app (fun m ->
                       m "replica: stopped at seq %d (applied %d, stale reads %d, epoch %d)"
@@ -1849,9 +1861,9 @@ let chaostest_cmd =
          "Chaos harness, two layers. Service: kill the writer mid-repair, tear \
           the WAL across a restart, saturate the bounded ingest queue, wedge \
           the writer under a watchdog. Network: partition leader and replica \
-          mid-stream, tear a snapshot ship, overflow a slow replica's bounded \
-          send buffer, restart-and-resume a replica, kill the leader and \
-          promote. Every scenario must end in a state byte-identical to a \
+          mid-stream, tear a snapshot ship, throttle a replica until it lags \
+          and let it catch up, restart-and-resume a replica, kill the leader \
+          and promote. Every scenario must end in a state byte-identical to a \
           from-scratch build, with readers answering (stale-flagged at worst) \
           throughout.")
     term

@@ -20,11 +20,11 @@
       continue at the partial's offset, the CRC check must reject the
       corrupted file, and a clean retry must install and bootstrap a
       replica that catches up.
-    - [slow-replica-overflow]: the per-follower send buffer is shrunk
-      and the stream throttled until it overflows. The leader must
-      disconnect that follower with an explicit reason (never buffer
-      without bound); the unthrottled replica must reconnect and
-      converge.
+    - [slow-replica]: the replica's applies are throttled while the
+      leader ingests, then released. The leader buffers nothing for it
+      (the WAL on disk is the backlog), so the replica must fall
+      behind, never be disconnected, and catch up on the same
+      connection.
     - [replica-restart-resume]: the replica is crash-killed (no final
       snapshot), the leader keeps ingesting, and the replica restarts
       from its own directory — recovery replays its local WAL, the
@@ -44,7 +44,7 @@ val pp_report : Format.formatter -> Rs_store.Harness.report -> unit
 (** [net chaos scenarios: N (...)] over the report's [queries]
     (replica-side client queries answered [Ok]), [stale], [reconnects]
     (successful resume handshakes) and [disconnects] (reasoned
-    disconnects: overflow, fence) counts, then one line per failure. *)
+    disconnects: the epoch fence) counts, then one line per failure. *)
 
 val run :
   ?specs:Repair.spec list ->

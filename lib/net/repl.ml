@@ -1,6 +1,5 @@
 open Rs_obs
 module Service = Rs_serve.Service
-module Bqueue = Rs_serve.Bqueue
 module Store = Rs_store.Store
 module Wal = Rs_store.Wal
 module Snapshot = Rs_store.Snapshot
@@ -10,7 +9,6 @@ module Rand = Rs_graph.Rand
 
 let c_records_streamed = Obs.counter "net/records_streamed"
 let c_heartbeats = Obs.counter "net/heartbeats"
-let c_send_overflows = Obs.counter "net/send_overflows"
 let c_ship_requests = Obs.counter "net/ship_requests"
 let c_ship_bytes = Obs.counter "net/ship_bytes"
 let c_handshake_rejects = Obs.counter "net/handshakes_rejected"
@@ -188,8 +186,6 @@ let rec tail_poll t =
 type leader_config = {
   frame_timeout_s : float;
   heartbeat_s : float;
-  send_capacity : int;
-  overflow_patience_s : float Atomic.t;
   ship_chunk : int;
   sender_delay_s : float Atomic.t;
 }
@@ -198,8 +194,6 @@ let default_leader_config () =
   {
     frame_timeout_s = 5.0;
     heartbeat_s = 0.5;
-    send_capacity = 1024;
-    overflow_patience_s = Atomic.make 5.0;
     ship_chunk = 1 lsl 18;
     sender_delay_s = Atomic.make 0.;
   }
@@ -213,24 +207,7 @@ type leader = {
   l_server : Tcp.server;
   l_followers : int Atomic.t;
   l_stop : bool Atomic.t;
-  l_subs_m : Mutex.t;
-  mutable l_subs : string Bqueue.t list;  (* under l_subs_m: each follower's send queue *)
 }
-
-let with_subs ld f = Mutex.protect ld.l_subs_m (fun () -> ld.l_subs <- f ld.l_subs)
-
-(* The leader's one timed loop: a heartbeat with the leader's seq into
-   every follower's send queue (a full one is being sent records), so a
-   replica tells a quiet leader from a dead link. Ends, unjoined,
-   within one period of [stop_leader]. *)
-let heartbeats ld () =
-  while not (Atomic.get ld.l_stop) do
-    Unix.sleepf ld.l_cfg.heartbeat_s;
-    let beat = msg_heartbeat ~epoch:ld.l_epoch ~seq:(Service.ingested_seq ld.l_service) in
-    with_subs ld (fun subs ->
-        List.iter (fun q -> if Bqueue.push q beat = Ok () then Obs.incr c_heartbeats) subs;
-        subs)
-  done
 
 let send_quiet ld fd payload =
   ignore (Frame.send fd ~timeout_s:ld.l_cfg.frame_timeout_s payload)
@@ -312,14 +289,13 @@ let ship_session ld dir fd hello =
                   in
                   chunks start)))
 
-(* One WAL subscription: a tailer thread feeds a bounded send queue, a
-   sender thread drains it to the socket, and the connection's own
-   thread sits in recv to notice the peer going away; each blocks
-   until it has work, and each way out wakes the other two. The
-   bounded queue is the overload contract: a replica that cannot drain
-   frames as fast as the writer produces them is disconnected with an
-   explicit reason — the leader's memory per follower is
-   [send_capacity] frames, full stop. *)
+(* One WAL subscription, on the connection's own thread: send every
+   record the tail holds, then wait for the next ack; a quiet
+   [heartbeat_s] sends one heartbeat instead, so a replica tells a quiet
+   leader from a dead link. Nothing is buffered per follower — the WAL
+   on disk is the backlog, so a slow replica only lags. One that stops
+   reading fills its socket buffer until a send misses the frame
+   deadline, and a closed one is noticed at the next send. *)
 let stream_session ld dir fd hello =
   match
     let r = Binio.reader ~pos:1 hello in
@@ -358,122 +334,42 @@ let stream_session ld dir fd hello =
           | Ok () ->
               let nf = Atomic.fetch_and_add ld.l_followers 1 + 1 in
               Obs.set_gauge g_followers (float_of_int nf);
-              let svc = ld.l_service in
-              let q = Bqueue.create ~capacity:ld.l_cfg.send_capacity in
-              let overflow = Atomic.make false in
-              let stop_conn = Atomic.make false in
-              let stopping () = Atomic.get stop_conn || Atomic.get ld.l_stop in
-              let tailer =
-                Thread.create (fun () ->
-                    let t = tail_create dir (have_seq + 1) in
-                    (* A full queue is not yet overload: a replica
-                       resuming with a backlog larger than the buffer
-                       fills it instantly and legitimately. Overflow
-                       means the sender could not free one slot within
-                       the patience window — the replica is stuck, not
-                       merely behind. *)
-                    let push payload =
-                      let deadline =
-                        Unix.gettimeofday ()
-                        +. Atomic.get ld.l_cfg.overflow_patience_s
-                      in
-                      let rec go () =
-                        match Bqueue.push q payload with
-                        | Ok () -> true
-                        | Error Bqueue.Closed -> false
-                        | Error (Bqueue.Full _) ->
-                            if stopping () then false
-                            else if Unix.gettimeofday () >= deadline then begin
-                              Obs.incr c_send_overflows;
-                              Atomic.set overflow true;
-                              false
-                            end
-                            else begin
-                              Unix.sleepf 0.002;
-                              go ()
-                            end
-                      in
-                      go ()
-                    in
-                    (* records up to [seen] are in the file (the writer
-                       acks after appending): an empty read waits for the
-                       next ack, a non-empty one may stop at a rotation *)
-                    let rec loop () =
-                      let seen = Service.ingested_seq svc in
-                      let records = tail_poll t in
-                      let pushed =
-                        List.for_all
-                          (fun (_, raw) ->
-                            let ok = push (msg_record ~epoch:ld.l_epoch raw) in
-                            if ok then Obs.incr c_records_streamed;
-                            ok)
-                          records
-                      in
+              let svc = ld.l_service and heartbeat_s = ld.l_cfg.heartbeat_s in
+              let send payload =
+                Frame.send fd ~timeout_s:ld.l_cfg.frame_timeout_s payload = Ok ()
+              in
+              let send_record (_, raw) =
+                send (msg_record ~epoch:ld.l_epoch raw) && (Obs.incr c_records_streamed; true)
+              in
+              let t = tail_create dir (have_seq + 1) in
+              (* records up to [seen] are in the file (the writer acks
+                 after appending): an empty read waits for the next ack,
+                 a non-empty one may stop at a rotation *)
+              let rec loop () =
+                if not (Atomic.get ld.l_stop) then begin
+                  let seen = Service.ingested_seq svc in
+                  match tail_poll t with
+                  | _ :: _ as records -> if List.for_all send_record records then loop ()
+                  | [] ->
+                      let t0 = Unix.gettimeofday () in
                       if
-                        pushed
-                        && (records <> []
-                           || Service.await svc (fun () ->
-                                  stopping () || Service.ingested_seq svc > seen))
-                        && not (stopping ())
+                        Service.await ~timeout_s:heartbeat_s svc (fun () ->
+                            Atomic.get ld.l_stop || Service.ingested_seq svc > seen)
                       then loop ()
-                    in
-                    loop ();
-                    (* overflow, stop or a killed service: wake the sender *)
-                    Bqueue.close q) ()
+                      (* [await] is false before its deadline only once the
+                         service is killed: the stream ends there *)
+                      else if
+                        Unix.gettimeofday () -. t0 >= heartbeat_s
+                        && send (msg_heartbeat ~epoch:ld.l_epoch ~seq:(Service.ingested_seq svc))
+                      then begin
+                        Obs.incr c_heartbeats;
+                        loop ()
+                      end
+                end
               in
-              let sender =
-                Thread.create (fun () ->
-                    let rec send_all = function
-                      | [] -> true
-                      | payload :: rest -> (
-                          let d = Atomic.get ld.l_cfg.sender_delay_s in
-                          if d > 0. then Unix.sleepf d;
-                          (not (Atomic.get overflow))
-                          &&
-                          match
-                            Frame.send fd ~timeout_s:ld.l_cfg.frame_timeout_s payload
-                          with
-                          | Ok () -> send_all rest
-                          | Error _ -> false)
-                    in
-                    let rec loop () =
-                      match Bqueue.pop_batch q ~max:32 with
-                      | [] -> () (* closed and drained *)
-                      | batch -> if send_all batch then loop ()
-                    in
-                    loop ();
-                    if Atomic.get overflow then
-                      (* don't drain the backlog into a replica that
-                         already proved too slow: say why, hang up *)
-                      send_quiet ld fd
-                        (msg_err
-                           (Printf.sprintf
-                              "send buffer overflow (capacity %d frames): replica \
-                               too slow, disconnecting"
-                              ld.l_cfg.send_capacity));
-                    Atomic.set stop_conn true;
-                    shutdown_quiet fd) ()
-              in
-              with_subs ld (List.cons q);
-              (* the subscriber never speaks after the handshake; recv is
-                 purely how we learn the connection died, and every end
-                 of the session shuts the socket down *)
-              let rec watch () =
-                (* in effect no deadline: whatever ends the session
-                   shuts the socket down *)
-                match Frame.recv fd ~timeout_s:3600. with
-                | Error Frame.Timeout | Ok _ -> if not (stopping ()) then watch ()
-                | Error (Frame.Closed | Frame.Corrupt _) -> ()
-              in
-              watch ();
-              with_subs ld (List.filter (fun q' -> q' != q));
-              Atomic.set stop_conn true;
-              Bqueue.close q;
-              Service.wake svc;
-              Thread.join tailer;
-              Thread.join sender;
-              let nf = Atomic.fetch_and_add ld.l_followers (-1) - 1 in
-              Obs.set_gauge g_followers (float_of_int nf)
+              Fun.protect loop ~finally:(fun () ->
+                  let nf = Atomic.fetch_and_add ld.l_followers (-1) - 1 in
+                  Obs.set_gauge g_followers (float_of_int nf))
       end
 
 let lead ?config ?proto_env ?server ~service ~store_dir ~host ~port () =
@@ -503,11 +399,8 @@ let lead ?config ?proto_env ?server ~service ~store_dir ~host ~port () =
           l_server = server;
           l_followers = Atomic.make 0;
           l_stop = Atomic.make false;
-          l_subs_m = Mutex.create ();
-          l_subs = [];
         }
       in
-      if store_dir <> None then ignore (Thread.create (heartbeats ld) ());
       Tcp.serve server (fun fd ->
           match Frame.recv fd ~timeout_s:l_cfg.frame_timeout_s with
           | Error _ -> ()
@@ -532,6 +425,8 @@ let leader_drop_connections ld = Tcp.drop_connections ld.l_server
 
 let stop_leader ld =
   Atomic.set ld.l_stop true;
+  (* followers waiting for the next ack end now, not a heartbeat later *)
+  Service.wake ld.l_service;
   Tcp.stop ld.l_server
 
 (* {1 Snapshot shipping (client side)} *)
@@ -705,6 +600,7 @@ type replica = {
   r_host : string;
   r_port : int;
   r_service : Service.t;
+  r_ingest_capacity : int;
   r_epoch : int Atomic.t;
   r_leader_seq : int Atomic.t;
   r_connected : bool Atomic.t;
@@ -747,10 +643,14 @@ let note_lag r =
   Obs.set_gauge g_lag (float_of_int (lag r));
   Obs.set_gauge g_connected (if connected r then 1. else 0.)
 
-(* Offer one streamed delta, retrying a momentarily full ingest queue:
-   the service's bounded queue is the replica's only buffer, so
-   backpressure flows from it through TCP to the leader's send buffer.
-   Any other rejection (suspended ingest, shutdown) ends following. *)
+(* Offer one streamed delta. The service's bounded ingest queue is the
+   replica's only buffer: while it is full the follower blocks until
+   the writer frees a slot (only the follower offers on a replica, so
+   the slot is still free when it offers again), its socket read
+   stalls, and TCP carries the backpressure to the leader. Any other
+   rejection (suspended ingest, shutdown) ends following. The wait
+   reads the queue depth under the service's publication lock; the
+   queue's own lock is taken inside it and never the other way. *)
 let rec apply r delta =
   match Service.offer r.r_service delta with
   | Ok () ->
@@ -758,7 +658,13 @@ let rec apply r delta =
       Ok ()
   | Error _ when Atomic.get r.r_stop -> Ok () (* detaching: the stream stops next *)
   | Error reason when String.starts_with ~prefix:"queue full" reason ->
-      Unix.sleepf 0.005;
+      let can_offer () =
+        let s = Service.status r.r_service in
+        match s.Service.s_state with
+        | Service.Degraded _ -> true (* the offer fails with the reason *)
+        | Service.Serving | Service.Rebuilding -> s.Service.s_queue < r.r_ingest_capacity
+      in
+      ignore (Service.await r.r_service (fun () -> Atomic.get r.r_stop || can_offer ()));
       apply r delta
   | Error reason ->
       Atomic.set r.r_stop true;
@@ -907,7 +813,9 @@ let follower r () =
   in
   loop ();
   Atomic.set r.r_connected false;
-  note_lag r
+  note_lag r;
+  (* an [await] on [gave_up] (the promote-on-disconnect trigger) *)
+  Service.wake r.r_service
 
 let follow ?config ?health_file ~service_config ~dir ~host ~port () =
   let cfg = match config with Some c -> c | None -> default_replica_config () in
@@ -954,6 +862,7 @@ let follow ?config ?health_file ~service_config ~dir ~host ~port () =
               r_host = host;
               r_port = port;
               r_service = svc;
+              r_ingest_capacity = service_config.Service.ingest_capacity;
               r_epoch = epoch;
               r_leader_seq = leader_seq;
               r_connected = connected;

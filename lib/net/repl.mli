@@ -29,9 +29,9 @@
     - every read/write runs against a {!Frame} deadline, except an
       idle query session's wait for its next request, which ends on
       a frame, a close or the socket shutdown of {!stop_leader};
-    - each follower is fed through a {e bounded} send buffer — a
-      replica that cannot keep up is disconnected with an explicit
-      ['E'] reason, the leader never buffers without bound;
+    - the leader buffers nothing per follower: each is fed straight
+      from the WAL on disk, so a slow replica only lags, and one that
+      stops reading is dropped when a send misses the frame deadline;
     - a replica buffers nothing of its own: its follower offers each
       record to the service itself, so a full ingest queue stalls the
       socket read and TCP carries the backpressure to the leader;
@@ -46,15 +46,13 @@
       [< e] — a deposed leader cannot un-promote it.
 
     Everything here waits on I/O, so it runs on systhreads in the
-    caller's domain: each connection (query, ship or subscription),
-    each follower's WAL tailer and sender, the leader's heartbeat
-    clock, the replica's follower. The service's
+    caller's domain: each connection (query, ship or subscription) on
+    its own thread, and the replica's follower. A subscription is one
+    thread: it sends what the WAL holds, then blocks in
+    {!Rs_serve.Service.await} until the next ack, the leader's stop or
+    [heartbeat_s] of quiet, which sends one heartbeat. The service's
     writer and readers are the only domains, so a process's domain
-    count does not grow with its connections or followers. None of
-    them polls: a tailer re-reads the WAL file only once
-    {!Rs_serve.Service.await} sees a newly acked record, and the
-    leader's one timed loop queues a heartbeat for every follower each
-    [heartbeat_s]. *)
+    count does not grow with its connections or followers. *)
 
 (** {1 Epoch fencing} *)
 
@@ -69,24 +67,18 @@ val write_epoch : dir:string -> int -> unit
 type leader_config = {
   frame_timeout_s : float;
       (** per-frame read/write deadline (an idle query session's
-          wait for the next request's first byte has none) *)
-  heartbeat_s : float;  (** period of the heartbeat sent to every follower *)
-  send_capacity : int;  (** per-follower send buffer, in frames *)
-  overflow_patience_s : float Atomic.t;
-      (** how long a full send buffer may refuse one frame before the
-          follower is declared too slow and disconnected — a buffer
-          that is full but {e draining} (a replica resuming through a
-          large backlog) is healthy backpressure, not overload *)
+          wait for the next request's first byte has none); a follower
+          whose send misses it is dropped *)
+  heartbeat_s : float;  (** quiet period after which an idle follower gets a heartbeat *)
   ship_chunk : int;  (** snapshot ship chunk bytes *)
   sender_delay_s : float Atomic.t;
-      (** chaos knob: sleep per streamed frame, making the bounded
-          send buffer fill deterministically *)
+      (** chaos knob: sleep per snapshot-ship chunk, so a ship can be
+          cut mid-file deterministically *)
 }
 
 val default_leader_config : unit -> leader_config
-(** 5 s frames, 0.5 s heartbeats, 1024-frame buffers with 5 s
-    overflow patience, 256 KiB chunks, no delay. (A function: the
-    config carries fresh atomics.) *)
+(** 5 s frames, 0.5 s heartbeats, 256 KiB chunks, no delay. (A
+    function: the config carries a fresh atomic.) *)
 
 type leader
 
@@ -126,9 +118,9 @@ val leader_drop_connections : leader -> int
 (** Partition chaos: sever every live connection. *)
 
 val stop_leader : leader -> unit
-(** Stop the listener and all per-follower machinery (the heartbeat
-    clock within one period). Does {e not} stop the underlying
-    service. Idempotent. *)
+(** Stop the listener and end every connection, followers at once
+    (they are woken from their wait for the next ack). Does {e not}
+    stop the underlying service. Idempotent. *)
 
 (** {1 Replica} *)
 
@@ -163,8 +155,9 @@ val follow :
     its own sequence number. The service is started with
     [batch_max = 1] (forced), so the replica's sequence numbers match
     the leader's one to one. One follower thread receives the stream
-    and offers each record to the service, retrying a full ingest
-    queue every 5 ms and ending the stream on any other rejection.
+    and offers each record to the service; while the ingest queue is
+    full it blocks until there is room (or {!detach}), and any other
+    rejection ends the stream.
     [?health_file] is the service's health file, its lines suffixed
     [" role=replica leader_seq=N lag=N connected=B epoch=E"] (as are
     [status] replies). *)
@@ -180,7 +173,9 @@ val connected : replica -> bool
 
 val gave_up : replica -> bool
 (** The follower loop exhausted [max_retries] consecutive failed
-    connection attempts and exited — the promote-on-disconnect signal. *)
+    connection attempts and exited — the promote-on-disconnect signal.
+    The follower's exit wakes {!Rs_serve.Service.await}s on the
+    replica's service, so one can wait for it. *)
 
 val reconnects : replica -> int
 (** Total successful re-handshakes after a disconnect. *)

@@ -7,13 +7,9 @@ let make g h =
     invalid_arg "Multipath.make: edge set over a different graph";
   { g; h }
 
-let augmented t src =
-  let extra = Array.to_list (Graph.neighbors t.g src) |> List.map (fun v -> (src, v)) in
-  Graph.make ~n:(Graph.n t.g) (List.rev_append extra (Edge_set.to_list t.h))
-
 let disjoint_routes t ~k ~src ~dst =
   if src = dst then invalid_arg "Multipath.disjoint_routes: src = dst";
-  let hs = augmented t src in
+  let hs = Rs_core.Verify.augmented t.g t.h src in
   Disjoint_paths.min_sum_paths hs ~k src dst
 
 type failure_report = {

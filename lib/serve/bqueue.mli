@@ -1,12 +1,11 @@
 (** Bounded multi-producer multi-consumer queue — the service's
     backpressure primitive.
 
-    Both service queues (delta ingest, read requests) and each
-    replication follower's send buffer are instances of this: a fixed
-    capacity chosen at creation, a {e non-blocking} {!push} that
-    rejects with a reason instead of growing without bound, and a
-    {!pop_batch} that blocks on a condition variable until {!push} or
-    {!close} wakes it — an idle consumer costs no CPU. Rejection at the
+    Both service queues (delta ingest, read requests) are instances
+    of this: a fixed capacity chosen at creation, a {e non-blocking}
+    {!push} that rejects with a reason instead of growing without
+    bound, and a {!pop_batch} that blocks on a condition variable until
+    {!push} or {!close} wakes it — an idle consumer costs no CPU. Rejection at the
     boundary is the overload-protection contract: memory held by a
     queue is [capacity * element], full stop. *)
 

@@ -187,7 +187,7 @@ type t = {
   batch_since : float Atomic.t;  (* start of the writer's current batch; 0. when idle *)
   pub_m : Mutex.t;  (* serializes view/ingested publication against epoch bumps *)
   pub_c : Condition.t;  (* broadcast under [pub_m] on every change [await] can see *)
-  mutable timed_waiters : int;  (* under [pub_m]; the clock wakes them each tick *)
+  mutable deadlines : float list;  (* under [pub_m]: the clock wakes timed [await]s once one passes *)
   ingest : Delta.t Bqueue.t;
   inflight : int Atomic.t;  (* deltas accepted but not yet applied+published *)
   requests : pending Bqueue.t;
@@ -228,15 +228,18 @@ let wake t = Mutex.protect t.pub_m (fun () -> Condition.broadcast t.pub_c)
 let await ?timeout_s t cond =
   let deadline = Option.map (( +. ) (Unix.gettimeofday ())) timeout_s in
   let expired () = Option.fold deadline ~none:false ~some:(fun d -> Unix.gettimeofday () >= d) in
-  let timed = Option.is_some deadline in
   let rec go () =
     if cond () then true
     else if Atomic.get t.killed || expired () then false
     else (Condition.wait t.pub_c t.pub_m; go ())
   in
+  let rec remove_one d = function [] -> [] | x :: r -> if x = d then r else x :: remove_one d r in
   Mutex.protect t.pub_m @@ fun () ->
-  if timed then t.timed_waiters <- t.timed_waiters + 1;
-  Fun.protect go ~finally:(fun () -> if timed then t.timed_waiters <- t.timed_waiters - 1)
+  match deadline with
+  | None -> go ()
+  | Some d ->
+      t.deadlines <- d :: t.deadlines;
+      Fun.protect go ~finally:(fun () -> t.deadlines <- remove_one d t.deadlines)
 
 let wait_idle ?timeout_s ?(cancel = fun () -> false) t =
   await ?timeout_s t (fun () -> cancel () || idle t)
@@ -635,7 +638,8 @@ let clock t () =
       last_health := now;
       write_health t
     end;
-    Mutex.protect t.pub_m (fun () -> if t.timed_waiters > 0 then Condition.broadcast t.pub_c)
+    Mutex.protect t.pub_m (fun () ->
+        if List.exists (fun d -> d <= now) t.deadlines then Condition.broadcast t.pub_c)
   done
 
 (* {1 Lifecycle} *)
@@ -669,7 +673,7 @@ let start ?(health_suffix = fun _ -> "") (cfg : config) spec =
     { cfg; specs; backend; view = Atomic.make v; ingested = Atomic.make v.v_seq;
       inflight = Atomic.make 0;
       epoch = Atomic.make 1; batch_since = Atomic.make 0.;
-      pub_m = Mutex.create (); pub_c = Condition.create (); timed_waiters = 0;
+      pub_m = Mutex.create (); pub_c = Condition.create (); deadlines = [];
       ingest = Bqueue.create ~capacity:cfg.ingest_capacity;
       requests = Bqueue.create ~capacity:cfg.request_capacity;
       killed = Atomic.make false; stopped = Atomic.make false; suspended = Atomic.make None;
