@@ -206,8 +206,8 @@ let e4_ubg_eps () =
             if n <= 400 then
               record_check
                 (Printf.sprintf "E4 n=%d eps=%.2f" n eps)
-                (Parallel.is_remote_spanner g h ~alpha:(1.0 +. eps)
-                   ~beta:(1.0 -. (2.0 *. eps)))
+                (Verify.is_remote_spanner ~domains:(Sharded.default_domains ()) g h
+                   ~alpha:(1.0 +. eps) ~beta:(1.0 -. (2.0 *. eps)))
             else "-"
           in
           print_row cols
@@ -279,8 +279,7 @@ let e6_figure1 () =
   ignore (record_check "E6 c RS" (Verify.is_remote_spanner g hc ~alpha:2.0 ~beta:(-1.0)));
   let hd = Remote_spanner.two_connecting g in
   show "(d) 2-connecting (2,-1)-remote-spanner" hd;
-  let hd_u = Verify.augmented g hd u in
-  (match Disjoint_paths.min_sum_paths hd_u ~k:2 u v with
+  (match Disjoint_paths.augmented_min_sum_paths Vertex g (Edge_set.to_graph hd) ~k:2 u v with
   | Some paths ->
       Printf.printf "    two disjoint u-v paths in Hd_u:";
       List.iter

@@ -124,8 +124,7 @@ let bench_size rows ~seen ~tier ~n =
   add "union/exact-par4" (fun () -> Sharded.build ~domains:4 g (Sharded.Gdy_k { k = 1 }));
   let h = Remote_spanner.exact_distance g in
   add "verify/seq" (fun () -> Verify.is_remote_spanner g h ~alpha:1.0 ~beta:0.0);
-  add "verify/par4" (fun () ->
-      Parallel.is_remote_spanner ~domains:4 g h ~alpha:1.0 ~beta:0.0);
+  add "verify/par4" (fun () -> Verify.is_remote_spanner ~domains:4 g h ~alpha:1.0 ~beta:0.0);
   (* Serving reads over the exact spanner, cycling through a fixed
      spread of connected pairs: a route (one BFS over H from the
      destination, then the hops) and a 2-paths query (successive

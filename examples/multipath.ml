@@ -44,8 +44,8 @@ let () =
   | None -> print_endline "no 2-connected pair in this sample (unlucky seed)"
   | Some (s, t, d2g) ->
       Printf.printf "pair %d <-> %d: d2 in G = %d\n" s t d2g;
-      let hs = Verify.augmented g h s in
-      (match Disjoint_paths.min_sum_paths hs ~k:2 s t with
+      let hg = Edge_set.to_graph h in
+      (match Disjoint_paths.augmented_min_sum_paths Vertex g hg ~k:2 s t with
       | None -> assert false
       | Some paths ->
           let total = List.fold_left (fun a p -> a + Path.length p) 0 paths in
@@ -62,8 +62,8 @@ let () =
               | dead :: _ ->
                   Printf.printf "\nfailing node %d (on the first path)...\n" dead;
                   let g' = Graph.remove_vertex g dead in
-                  let hs' = Graph.remove_vertex hs dead in
-                  (match Disjoint_paths.min_sum_paths hs' ~k:1 s t with
+                  let hg' = Graph.remove_vertex hg dead in
+                  (match Disjoint_paths.augmented_min_sum_paths Vertex g' hg' ~k:1 s t with
                   | Some [ p ] ->
                       Format.printf "still connected in H_s: %a (%d hops; in G': %d)@."
                         Path.pp p (Path.length p) (Bfs.dist_pair g' s t)

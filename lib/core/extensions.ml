@@ -1,17 +1,21 @@
 open Rs_graph
 
-let bowtie () = Graph.make ~n:5 [ (0, 1); (1, 2); (0, 2); (2, 3); (3, 4); (2, 4) ]
+let bowtie () = Graph.of_canonical ~n:5 [| (0, 1); (0, 2); (1, 2); (2, 3); (2, 4); (3, 4) |]
 
 let edge_repair g ~k ~base =
   if k < 1 then invalid_arg "Extensions.edge_repair: k < 1";
   let h = Edge_set.copy base in
   let added = ref 0 in
+  (* H's CSR for the flow engine, rebuilt only after a repair adds an
+     edge *)
+  let hg = ref (Edge_set.to_graph h) and stale = ref false in
   let add_path p =
     let rec loop = function
       | a :: (b :: _ as rest) ->
           if not (Edge_set.mem h a b) then begin
             Edge_set.add h a b;
-            incr added
+            incr added;
+            stale := true
           end;
           loop rest
       | [ _ ] | [] -> ()
@@ -25,8 +29,11 @@ let edge_repair g ~k ~base =
         let profile_g = Edge_disjoint.dk_profile g ~kmax:k s t in
         let kmax_g = Array.length profile_g in
         if kmax_g > 0 then begin
-          let hs = Verify.augmented g h s in
-          let profile_h = Edge_disjoint.dk_profile hs ~kmax:kmax_g s t in
+          if !stale then begin
+            hg := Edge_set.to_graph h;
+            stale := false
+          end;
+          let profile_h = Disjoint_paths.augmented_profile Edge g !hg ~kmax:kmax_g s t in
           (* repair each violated k' by inlining G's optimal system *)
           for k' = 1 to kmax_g do
             let violated =

@@ -1,9 +1,16 @@
 (** Independent verification oracles for remote-spanner properties.
 
     Every construction in this library is validated against these
-    checkers, which implement the definitions directly (BFS for
-    distances, min-cost flow for disjoint paths) and share no code
-    with the constructions. *)
+    checkers, which implement the definitions directly and share no
+    code with the constructions. Every guarantee is a statement about
+    H_u = H plus u's own links, and H_u is never built:
+
+    - stretch: one per-source kernel runs two BFSs from u, d_G(u,.)
+      and d_{H_u}(u,.) (seeded with N_G(u), then through H alone);
+      the four stretch oracles below are folds over it;
+    - k-connecting stretch: {!Rs_graph.Disjoint_paths}' successive
+      shortest paths run in H_s with s's arcs read from G's row, in
+      vertex or edge mode. *)
 
 open Rs_graph
 
@@ -23,7 +30,14 @@ val remote_spanner_violations :
     (up to [max_violations], default 10). Empty iff H is an
     (alpha, beta)-remote-spanner. O(n (n + m)). *)
 
-val is_remote_spanner : Graph.t -> Edge_set.t -> alpha:float -> beta:float -> bool
+val is_remote_spanner :
+  ?domains:int -> Graph.t -> Edge_set.t -> alpha:float -> beta:float -> bool
+(** [remote_spanner_violations] is empty, decided by the same kernel
+    with early abort. [?domains] (default 1) fans the sources over
+    that many OCaml domains with {!Sharded.drive}'s work stealing
+    (one domain below 64 vertices); a violation found anywhere stops
+    every domain at its next source. The answer does not depend on
+    [domains]. *)
 
 type histogram = {
   pairs : int;  (** ordered non-adjacent connected pairs measured *)
@@ -44,10 +58,6 @@ val worst_additive_slack : Graph.t -> Edge_set.t -> alpha:float -> float
     [d_{H_u}(u,v) - alpha * d_G(u,v)]: the smallest [beta] making H an
     (alpha, beta)-remote-spanner ([neg_infinity] when no pair
     qualifies, [infinity] if some pair is disconnected in H_u). *)
-
-val augmented : Graph.t -> Edge_set.t -> int -> Graph.t
-(** [augmented g h u] materializes H_u = H plus all G-edges incident
-    to [u], as a standalone graph (for flow computations). *)
 
 val k_connecting_violations :
   ?max_violations:int ->

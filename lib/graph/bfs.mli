@@ -35,9 +35,9 @@ end
 (** Reusable BFS state. A [Scratch.t] may be reused across graphs of
     any size (it grows, never shrinks) but must not be shared between
     domains or used re-entrantly: one traversal at a time, and the
-    accessors below read the {e most recent} run only. The [Parallel]
-    module keeps one per domain; sequential constructions keep one per
-    entry point. *)
+    accessors below read the {e most recent} run only. The multicore
+    stretch sweep ([Verify.is_remote_spanner ?domains]) keeps two per
+    domain; sequential constructions keep one per entry point. *)
 module Scratch : sig
   type t
 

@@ -1,22 +1,35 @@
 (* Successive shortest paths on the implicit vertex-split residual
-   graph of the CSR. Node ids: x_in = 2x, x_out = 2x + 1; the source is
-   s_out, the sink t_in. The arcs are never built:
+   graph of H_s: the CSR of [h], except that s's own arcs come from
+   [g]'s row (one query over [h = g] is a plain query on g). Node ids:
+   x_in = 2x, x_out = 2x + 1; the source is s_out, the sink t_in. The
+   arcs are never built:
 
    - x_in -> x_out (cost 0) while x is unused, x_out -> x_in (cost 0)
-     once it carries flow — x <> s, t;
+     once it carries flow — x <> s, t. In edge mode both are always
+     open: a vertex has no capacity, only edges do;
    - a_out -> b_in (cost 1) for every directed edge a->b without flow,
      b_in -> a_out (cost -1) for every one with flow.
 
+   No arc into s is ever used: an augmenting path starts at s_out,
+   which Dijkstra settles first at reduced distance 0, so relaxing it
+   again can never succeed, and a min-cost flow sends nothing into s
+   (that flow would close a positive cycle). So s's arcs are exactly
+   its [g]-row, and every other vertex's are its [h]-row with s
+   skipped: the flow counterpart of [Bfs.augmented_dist].
+
    Flow lives in generation stamps: [used.(x) = qgen] when vertex x
    carries flow, [flow.(key) = qgen] when directed edge a->b does, with
-   [key = 2 * id + (if a < b then 0 else 1)] from the CSR's edge ids.
-   A query bumps [qgen] and so starts from zero flow in O(1).
+   [key = 2 * id + (if a < b then 0 else 1)] from [h]'s edge ids, and
+   [key = 2 * m(h) + i - off_g.(s)] for s's arc in slot i of [g]'s
+   row. A query bumps [qgen] and so starts from zero flow in O(1).
 
    Potentials are stamped per-node offsets, 0 until a round touches the
    node. Dijkstra stops when it pops the sink at reduced distance D;
    every node settled below D then moves by dist - D. That is the
    classic [pot += min(dist, D)] shifted by the constant D, so reduced
    costs stay non-negative and a round costs what it touched. *)
+
+type mode = Vertex | Edge
 
 type scratch = {
   mutable qgen : int;  (* query: used, flow, pot *)
@@ -59,9 +72,12 @@ let create_scratch () =
   }
 
 (* Grow-only. Fresh stamp arrays hold 0 and generations start at 1, so
-   a grown array reads as unset; growth happens only between queries. *)
-let ensure sc g =
-  let n = Graph.n g and m = Graph.m g in
+   a grown array reads as unset; growth happens only between queries.
+   The flow keys of s's arcs are sized for any s (degree < n), so the
+   queries over one graph never grow it. *)
+let ensure sc h =
+  let n = Graph.n h in
+  let keys = (2 * Graph.m h) + n in
   if Array.length sc.used < n then begin
     let cap = max n (2 * Array.length sc.used) in
     let nodes () = Array.make (2 * cap) 0 in
@@ -75,8 +91,8 @@ let ensure sc g =
     sc.prev_key <- nodes ();
     sc.settled <- nodes ()
   end;
-  if Array.length sc.flow < 2 * m then
-    sc.flow <- Array.make (max (2 * m) (2 * Array.length sc.flow)) 0
+  if Array.length sc.flow < keys then
+    sc.flow <- Array.make (max keys (2 * Array.length sc.flow)) 0
 
 let dls_scratch = Domain.DLS.new_key create_scratch
 
@@ -137,9 +153,12 @@ let relax sc v nd u key =
 (* One shortest augmenting path from s_out to t_in under the current
    flow; pushes one unit along it and returns its real cost (+1 per
    edge arc, -1 per cancelled one), or -1 when the sink is cut off. *)
-let augment sc g s t =
-  let off, nbr = Graph.csr g in
-  let eid = Graph.csr_edge_ids g in
+let augment sc mode g h s t =
+  let off, nbr = Graph.csr h in
+  let eid = Graph.csr_edge_ids h in
+  let soff, snbr = Graph.csr g in
+  let sbase = (2 * Graph.m h) - soff.(s) in
+  let edge = mode = Edge in
   let qg = sc.qgen in
   sc.rgen <- sc.rgen + 1;
   let rg = sc.rgen in
@@ -159,13 +178,14 @@ let augment sc g s t =
       else begin
         let x = u lsr 1 in
         let du = d + pot sc u in
+        let used = sc.used.(x) = qg in
         if u land 1 = 0 then begin
-          (* x_in: across x while it is free, else back along the flow
-             edge that enters x *)
-          if sc.used.(x) <> qg then begin
-            if x <> s && x <> t then relax sc (u + 1) (du - pot sc (u + 1)) u (-1)
-          end
-          else
+          (* x_in: across x while it is free, and back along the flow
+             edges that enter x once it carries flow (edge mode: both,
+             always) *)
+          if (edge || not used) && x <> s && x <> t then
+            relax sc (u + 1) (du - pot sc (u + 1)) u (-1);
+          if edge || used then
             for i = off.(x) to off.(x + 1) - 1 do
               let a = nbr.(i) in
               let key = (2 * eid.(i)) + if a < x then 0 else 1 in
@@ -173,10 +193,18 @@ let augment sc g s t =
                 relax sc ((2 * a) + 1) (du - 1 - pot sc ((2 * a) + 1)) u key
             done
         end
+        else if x = s then
+          (* s_out: every free edge of s in g *)
+          for i = soff.(s) to soff.(s + 1) - 1 do
+            let b = snbr.(i) in
+            if sc.flow.(sbase + i) <> qg then
+              relax sc (2 * b) (du + 1 - pot sc (2 * b)) u (sbase + i)
+          done
         else begin
-          (* x_out: back across x if it carries flow, then every free
-             edge out of x (s_in is a dead end and is skipped) *)
-          if sc.used.(x) = qg then relax sc (u - 1) (du - pot sc (u - 1)) u (-1);
+          (* x_out: back across x if it carries flow (edge mode:
+             always), then every free edge out of x (s_in is a dead end
+             and is skipped) *)
+          if edge || used then relax sc (u - 1) (du - pot sc (u - 1)) u (-1);
           for i = off.(x) to off.(x + 1) - 1 do
             let b = nbr.(i) in
             if b <> s then begin
@@ -216,25 +244,26 @@ let augment sc g s t =
     !cost
   end
 
-let check_pair g s t =
+let check_query g h s t =
+  let n = Graph.n g in
+  if Graph.n h <> n then invalid_arg "Disjoint_paths: g and h differ in vertex count";
   if s = t then invalid_arg "Disjoint_paths: s = t";
-  if s < 0 || s >= Graph.n g || t < 0 || t >= Graph.n g then
-    invalid_arg "Disjoint_paths: vertex out of range"
+  if s < 0 || s >= n || t < 0 || t >= n then invalid_arg "Disjoint_paths: vertex out of range"
 
 (* Starts a query on the domain's scratch: zero flow, zero potentials. *)
-let start g =
+let start h =
   let sc = Domain.DLS.get dls_scratch in
-  ensure sc g;
+  ensure sc h;
   sc.qgen <- sc.qgen + 1;
   sc
 
 (* Augments up to [kmax] times; [a.(i)] is the cumulative cost after
    augmentation i + 1. Returns the number of augmentations made. *)
-let augment_upto sc g s t kmax a =
+let augment_upto sc mode g h s t kmax a =
   let rec go i acc =
     if i >= kmax then i
     else
-      let c = augment sc g s t in
+      let c = augment sc mode g h s t in
       if c < 0 then i
       else begin
         a.(i) <- acc + c;
@@ -243,18 +272,22 @@ let augment_upto sc g s t kmax a =
   in
   go 0 0
 
-(* Each disjoint path takes its own edge at s and at t, so no more
-   than this many exist; it caps every k-sized allocation. *)
-let degree_bound g s t = min (Graph.degree g s) (Graph.degree g t)
+(* Each disjoint path takes its own edge at s and at t in H_s, so no
+   more than this many exist; it caps every k-sized allocation. *)
+let degree_bound g h s t =
+  let st_added = Graph.mem_edge g s t && not (Graph.mem_edge h s t) in
+  min (Graph.degree g s) (Graph.degree h t + if st_added then 1 else 0)
 
-let dk_profile g ~kmax s t =
-  check_pair g s t;
+let augmented_profile mode g h ~kmax s t =
+  check_query g h s t;
   if kmax < 1 then invalid_arg "Disjoint_paths.dk_profile: kmax < 1";
-  let kmax = min kmax (degree_bound g s t) in
-  let sc = start g in
+  let kmax = min kmax (degree_bound g h s t) in
+  let sc = start h in
   let a = Array.make kmax 0 in
-  let got = augment_upto sc g s t kmax a in
+  let got = augment_upto sc mode g h s t kmax a in
   if got = kmax then a else Array.sub a 0 got
+
+let dk_profile g ~kmax s t = augmented_profile Vertex g g ~kmax s t
 
 let dk g ~k s t =
   let profile = dk_profile g ~kmax:k s t in
@@ -262,35 +295,43 @@ let dk g ~k s t =
 
 let max_disjoint g s t = Array.length (dk_profile g ~kmax:max_int s t)
 
-(* The flow out of [v]: its first neighbor w (by id) with flow on v->w,
-   which is consumed. Each internal vertex has exactly one; s has k. *)
-let take_succ sc g v =
-  let off, nbr = Graph.csr g in
-  let eid = Graph.csr_edge_ids g in
+(* The flow out of [v]: its first arc (by neighbor id) with flow, which
+   is consumed. Each internal vertex has one per path through it; s
+   has k. *)
+let take_succ sc g h s v =
+  let off, nbr = Graph.csr (if v = s then g else h) in
+  let eid = Graph.csr_edge_ids h in
+  let key i =
+    if v = s then (2 * Graph.m h) + i - off.(s)
+    else (2 * eid.(i)) + if v < nbr.(i) then 0 else 1
+  in
   let rec scan i =
     if i >= off.(v + 1) then invalid_arg "Disjoint_paths: broken flow decomposition"
     else
-      let w = nbr.(i) in
-      let key = (2 * eid.(i)) + if v < w then 0 else 1 in
+      let key = key i in
       if sc.flow.(key) = sc.qgen then begin
         sc.flow.(key) <- 0;
-        w
+        nbr.(i)
       end
       else scan (i + 1)
   in
   scan off.(v)
 
-let min_sum_paths g ~k s t =
-  check_pair g s t;
+let augmented_min_sum_paths mode g h ~k s t =
+  check_query g h s t;
   if k < 1 then invalid_arg "Disjoint_paths.min_sum_paths: k < 1";
-  let sc = start g in
-  if k > degree_bound g s t || augment_upto sc g s t k (Array.make k 0) < k then None
+  let sc = start h in
+  if k > degree_bound g h s t || augment_upto sc mode g h s t k (Array.make k 0) < k then None
   else begin
     (* a min-cost flow has no cycle (every edge arc costs 1), so
        following the flow from s reaches t on a simple path *)
     let walk () =
-      let rec go v acc = if v = t then List.rev (t :: acc) else go (take_succ sc g v) (v :: acc) in
+      let rec go v acc =
+        if v = t then List.rev (t :: acc) else go (take_succ sc g h s v) (v :: acc)
+      in
       go s []
     in
     Some (List.init k (fun _ -> walk ()))
   end
+
+let min_sum_paths g ~k s t = augmented_min_sum_paths Vertex g g ~k s t

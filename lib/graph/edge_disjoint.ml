@@ -3,88 +3,17 @@
    uses both directions (cancelling them is strictly cheaper), so arc
    flows encode proper edge-disjoint path systems. All arc costs are
    positive, hence min-cost flows are cycle-free and decompose into
-   simple paths. *)
+   simple paths. The engine is Disjoint_paths' edge mode. *)
 
-let check_pair g s t =
-  if s = t then invalid_arg "Edge_disjoint: s = t";
-  if s < 0 || s >= Graph.n g || t < 0 || t >= Graph.n g then
-    invalid_arg "Edge_disjoint: vertex out of range"
-
-let build_network g =
-  let net = Mincost_flow.create (Graph.n g) in
-  Graph.iter_edges
-    (fun a b ->
-      Mincost_flow.add_arc net ~src:a ~dst:b ~cap:1 ~cost:1;
-      Mincost_flow.add_arc net ~src:b ~dst:a ~cap:1 ~cost:1)
-    g;
-  net
-
-let dk_profile g ~kmax s t =
-  check_pair g s t;
-  if kmax < 1 then invalid_arg "Edge_disjoint.dk_profile: kmax < 1";
-  let net = build_network g in
-  let units = Mincost_flow.min_cost_units net ~s ~t_:t ~max_units:kmax in
-  let acc = ref 0 in
-  Array.of_list
-    (List.map
-       (fun c ->
-         acc := !acc + c;
-         !acc)
-       units)
+let dk_profile g ~kmax s t = Disjoint_paths.augmented_profile Edge g g ~kmax s t
 
 let dk g ~k s t =
   let profile = dk_profile g ~kmax:k s t in
   if Array.length profile >= k then Some profile.(k - 1) else None
 
-let max_disjoint g s t =
-  check_pair g s t;
-  let bound = min (Graph.degree g s) (Graph.degree g t) in
-  if bound = 0 then 0 else Array.length (dk_profile g ~kmax:bound s t)
+let max_disjoint g s t = Array.length (dk_profile g ~kmax:max_int s t)
 
-let min_sum_paths g ~k s t =
-  check_pair g s t;
-  if k < 1 then invalid_arg "Edge_disjoint.min_sum_paths: k < 1";
-  let net = build_network g in
-  let units = Mincost_flow.min_cost_units net ~s ~t_:t ~max_units:k in
-  if List.length units < k then None
-  else begin
-    (* net flow per undirected edge: +1 means a->b, -1 means b->a *)
-    let dir = Hashtbl.create 64 in
-    List.iter
-      (fun (src, dst, flow) ->
-        if flow > 0 then begin
-          let key = if src < dst then (src, dst) else (dst, src) in
-          let signed = if src < dst then flow else -flow in
-          Hashtbl.replace dir key (signed + Option.value ~default:0 (Hashtbl.find_opt dir key))
-        end)
-      (Mincost_flow.arcs_with_flow net);
-    let succ : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun (a, b) net_flow ->
-        if net_flow > 0 then
-          Hashtbl.replace succ a (b :: Option.value ~default:[] (Hashtbl.find_opt succ a))
-        else if net_flow < 0 then
-          Hashtbl.replace succ b (a :: Option.value ~default:[] (Hashtbl.find_opt succ b)))
-      dir;
-    let take v =
-      match Hashtbl.find_opt succ v with
-      | Some (x :: rest) ->
-          Hashtbl.replace succ v rest;
-          Some x
-      | Some [] | None -> None
-    in
-    let walk () =
-      let rec go v acc =
-        if v = t then List.rev (t :: acc)
-        else
-          match take v with
-          | Some w -> go w (v :: acc)
-          | None -> invalid_arg "Edge_disjoint: broken flow decomposition"
-      in
-      go s []
-    in
-    Some (List.init k (fun _ -> walk ()))
-  end
+let min_sum_paths g ~k s t = Disjoint_paths.augmented_min_sum_paths Edge g g ~k s t
 
 let edges_pairwise_disjoint paths =
   let seen = Hashtbl.create 64 in

@@ -4,9 +4,10 @@
     to edge-connectivity, "where we consider paths that are
     edge-disjoint rather than internal-node disjoint". This module is
     the substrate for that extension: [d^k] with edge-disjointness,
-    computed by min-cost flow {e without} vertex splitting (each
-    undirected edge has one unit of capacity shared by both
-    directions).
+    computed by {!Disjoint_paths}' min-cost flow engine in its edge
+    mode, {e without} vertex splitting (each undirected edge has one
+    unit of capacity shared by both directions). For H_s, use
+    {!Disjoint_paths.augmented_profile} [Edge].
 
     Since internally vertex-disjoint paths are edge-disjoint,
     [dk_edge <= dk_vertex] pointwise, and the edge version can be

@@ -1,16 +1,16 @@
 open Rs_graph
 
-type t = { g : Graph.t; h : Edge_set.t }
+(* [hg] is H's CSR; the flow engine reads src's arcs from [g] *)
+type t = { g : Graph.t; hg : Graph.t }
 
 let make g h =
   if not (Graph.equal (Edge_set.host h) g) then
     invalid_arg "Multipath.make: edge set over a different graph";
-  { g; h }
+  { g; hg = Edge_set.to_graph h }
 
 let disjoint_routes t ~k ~src ~dst =
   if src = dst then invalid_arg "Multipath.disjoint_routes: src = dst";
-  let hs = Rs_core.Verify.augmented t.g t.h src in
-  Disjoint_paths.min_sum_paths hs ~k src dst
+  Disjoint_paths.augmented_min_sum_paths Vertex t.g t.hg ~k src dst
 
 type failure_report = {
   trials : int;

@@ -1,3 +1,5 @@
+open Rs_graph
+
 type t = {
   n : int;
   (* arc-parallel arrays; arc i and i lxor 1 are mutual residuals *)

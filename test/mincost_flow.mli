@@ -2,8 +2,9 @@
 
     Successive-shortest-paths with Johnson potentials (Dijkstra on the
     reduced costs). Capacities and costs are non-negative integers.
-    This is the engine behind the k-connecting distance [d^k]: one unit
-    of flow per disjoint path, and the cumulative cost after the k-th
+    A built network with explicit arcs: the tests' reference for
+    {!Rs_graph.Disjoint_paths}' implicit residual engine. One unit of
+    flow per disjoint path, and the cumulative cost after the k-th
     unit is the minimum total length of k disjoint paths. *)
 
 type t

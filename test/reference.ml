@@ -5,9 +5,11 @@
    that only the tests run, and of the straightforward routing and
    disjoint-path engines that [Link_state] and [Disjoint_paths]
    replaced (a fresh BFS of H_c per hop; a built min-cost-flow
-   network per query). Everything reads the definitions word for
-   word and favours clarity over speed: trees are hashtables,
-   distances come from a full BFS. *)
+   network per query, vertex-split or not; H_s built as a graph), and
+   of the sequential stretch sweep that [Verify]'s per-source kernel
+   replaced. Everything reads the definitions word for word and
+   favours clarity over speed: trees are hashtables, distances come
+   from a full BFS. *)
 open Rs_graph
 open Rs_core
 
@@ -297,3 +299,54 @@ let min_sum_paths g ~k s t =
     in
     Some (List.init k (fun _ -> walk ()))
   end
+
+(* ---- edge-disjoint paths: the same network without the split ---- *)
+
+(* Each undirected edge is two opposite unit arcs of cost 1. *)
+let build_edge_network g =
+  let net = Mincost_flow.create (Graph.n g) in
+  Graph.iter_edges
+    (fun a b ->
+      Mincost_flow.add_arc net ~src:a ~dst:b ~cap:1 ~cost:1;
+      Mincost_flow.add_arc net ~src:b ~dst:a ~cap:1 ~cost:1)
+    g;
+  net
+
+let edge_dk_profile g ~kmax s t =
+  let units = Mincost_flow.min_cost_units (build_edge_network g) ~s ~t_:t ~max_units:kmax in
+  let acc = ref 0 in
+  Array.of_list (List.map (fun c -> acc := !acc + c; !acc) units)
+
+(* ---- H_s as a built graph ---- *)
+
+(* H_u = H plus all G-edges incident to u, as a standalone graph. *)
+let augmented g h u =
+  let extra = Array.to_list (Graph.neighbors g u) |> List.map (fun v -> (u, v)) in
+  Graph.make ~n:(Graph.n g) (List.rev_append extra (Edge_set.to_list h))
+
+(* ---- the sequential stretch sweep: two fresh BFS arrays per source ---- *)
+
+let remote_spanner_violations ?(max_violations = 10) g h ~alpha ~beta =
+  let h_adj = Edge_set.to_adjacency h in
+  let acc = ref [] and count = ref 0 in
+  let n = Graph.n g in
+  let u = ref 0 in
+  while !u < n && !count < max_violations do
+    let du_g = Bfs.dist g !u in
+    let du_h = Bfs.augmented_dist g h_adj !u in
+    for v = 0 to n - 1 do
+      if v <> !u && du_g.(v) > 1 && !count < max_violations then begin
+        let dh = if du_h.(v) < 0 then max_int else du_h.(v) in
+        let bound = (alpha *. float_of_int du_g.(v)) +. beta in
+        if dh = max_int || float_of_int dh > bound +. 1e-9 then begin
+          acc := { Verify.src = !u; dst = v; d_g = du_g.(v); d_h = dh } :: !acc;
+          incr count
+        end
+      end
+    done;
+    incr u
+  done;
+  List.rev !acc
+
+let is_remote_spanner g h ~alpha ~beta =
+  remote_spanner_violations ~max_violations:1 g h ~alpha ~beta = []

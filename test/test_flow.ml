@@ -1,4 +1,4 @@
-(* Tests for min-cost flow, disjoint paths, connectivity, matching. *)
+(* Tests for min-cost flow, disjoint paths and connectivity. *)
 open Rs_graph
 
 let check = Alcotest.(check bool)
@@ -179,9 +179,11 @@ let test_dk_vs_bruteforce_small () =
     [ Gen.petersen (); Gen.cycle 5; Gen.grid 3 4; Gen.complete 5 ]
 
 (* The implicit-residual engine against the built-network reference
-   (test/reference.ml), on random graphs — some disconnected — and on
-   the spanners the serving stack answers [paths] queries over. *)
-let graphs_of_seed seed =
+   (test/reference.ml), in both modes, on random graphs — some
+   disconnected — and on the five spanner families the serving stack
+   answers [paths] queries over: each as a plain graph, and as H_s
+   (the augmented entry points) against a built H_s. *)
+let case_of_seed seed =
   let rand = Rand.create seed in
   let n = 2 + Rand.int rand 22 in
   let g =
@@ -200,13 +202,12 @@ let graphs_of_seed seed =
              (Array.to_list (Graph.edges (Gen.erdos_renyi rand n 0.5))))
   in
   let open Rs_core in
-  g
-  :: List.map Edge_set.to_graph
-       [ Remote_spanner.exact_distance g;
-         Remote_spanner.low_stretch g ~eps:0.5;
-         Remote_spanner.k_connecting g ~k:2;
-         Baseline.bfs_tree g ~root:0;
-         Baseline.full g ]
+  ( g,
+    [ Remote_spanner.exact_distance g;
+      Remote_spanner.low_stretch g ~eps:0.5;
+      Remote_spanner.k_connecting g ~k:2;
+      Baseline.bfs_tree g ~root:0;
+      Baseline.full g ] )
 
 let for_all_pairs g f =
   let ok = ref true in
@@ -217,17 +218,37 @@ let for_all_pairs g f =
   done;
   !ok
 
-let qtest name prop =
+(* [prop ~plain ~augmented]: [plain x] for G and every spanner as a
+   graph, [augmented g h] for every spanner h. *)
+let qtest name ~plain ~augmented =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:30
-       QCheck2.Gen.(map graphs_of_seed (int_range 0 1_000_000))
-       (List.for_all prop))
+       QCheck2.Gen.(map case_of_seed (int_range 0 1_000_000))
+       (fun (g, hs) ->
+         List.for_all plain (g :: List.map Edge_set.to_graph hs)
+         && List.for_all (augmented g) hs))
 
-let prop_dk_profile_matches_reference g =
+let modes = Disjoint_paths.[ (Vertex, Reference.dk_profile); (Edge, Reference.edge_dk_profile) ]
+
+let prop_dk_profile_plain g =
   for_all_pairs g (fun s t ->
       List.for_all
-        (fun kmax -> Disjoint_paths.dk_profile g ~kmax s t = Reference.dk_profile g ~kmax s t)
+        (fun kmax ->
+          Disjoint_paths.dk_profile g ~kmax s t = Reference.dk_profile g ~kmax s t
+          && Edge_disjoint.dk_profile g ~kmax s t = Reference.edge_dk_profile g ~kmax s t)
         [ 1; 2; 3 ])
+
+let prop_dk_profile_augmented g h =
+  let hg = Edge_set.to_graph h in
+  for_all_pairs g (fun s t ->
+      let hs = Reference.augmented g h s in
+      List.for_all
+        (fun (mode, reference) ->
+          List.for_all
+            (fun kmax ->
+              Disjoint_paths.augmented_profile mode g hg ~kmax s t = reference hs ~kmax s t)
+            [ 1; 2; 3 ])
+        modes)
 
 let total paths = List.fold_left (fun acc p -> acc + Path.length p) 0 paths
 
@@ -249,21 +270,50 @@ let test_potentials_witness () =
       check_int "total" 10 (total ps);
       check "disjoint" true (Path.pairwise_disjoint ps)
 
-let prop_min_sum_paths_matches_reference g =
+(* [paths] is a valid system in [x]: k paths from s to t of total
+   [cost], pairwise disjoint in [mode]'s sense *)
+let valid_system mode x ~k ~cost s t paths =
+  List.length paths = k
+  && total paths = cost
+  && List.for_all (fun p -> Path.is_valid x p && Path.source p = s && Path.target p = t) paths
+  &&
+  match mode with
+  | Disjoint_paths.Vertex -> Path.pairwise_disjoint paths
+  | Edge -> Edge_disjoint.edges_pairwise_disjoint paths
+
+(* Equal-cost systems may differ edge for edge, so the engine's paths
+   are checked for cost, validity and disjointness in the network the
+   reference solved. *)
+let agrees mode x ~k ~reference s t found =
+  let profile = reference x ~kmax:k s t in
+  match found with
+  | None -> Array.length profile < k
+  | Some ps -> Array.length profile = k && valid_system mode x ~k ~cost:profile.(k - 1) s t ps
+
+let prop_min_sum_paths_plain g =
   for_all_pairs g (fun s t ->
       List.for_all
         (fun k ->
-          match (Disjoint_paths.min_sum_paths g ~k s t, Reference.min_sum_paths g ~k s t) with
+          (match (Disjoint_paths.min_sum_paths g ~k s t, Reference.min_sum_paths g ~k s t) with
           | None, None -> true
-          | Some ps, Some rs ->
-              List.length ps = k
-              && total ps = total rs
-              && List.for_all
-                   (fun p -> Path.is_valid g p && Path.source p = s && Path.target p = t)
-                   ps
-              && Path.pairwise_disjoint ps
+          | Some ps, Some rs -> valid_system Vertex g ~k ~cost:(total rs) s t ps
           | _ -> false)
+          && agrees Edge g ~k ~reference:Reference.edge_dk_profile s t
+               (Edge_disjoint.min_sum_paths g ~k s t))
         [ 1; 2; 3 ])
+
+let prop_min_sum_paths_augmented g h =
+  let hg = Edge_set.to_graph h in
+  for_all_pairs g (fun s t ->
+      let hs = Reference.augmented g h s in
+      List.for_all
+        (fun (mode, reference) ->
+          List.for_all
+            (fun k ->
+              agrees mode hs ~k ~reference s t
+                (Disjoint_paths.augmented_min_sum_paths mode g hg ~k s t))
+            [ 1; 2; 3 ])
+        modes)
 
 (* ------------------------------------------------------------------ *)
 (* Connectivity *)
@@ -350,29 +400,6 @@ let test_bridges () =
   Alcotest.(check (list (pair int int))) "barbell bridge" [ (3, 4) ]
     (Connectivity.bridges (Gen.barbell 4))
 
-(* ------------------------------------------------------------------ *)
-(* Matching *)
-
-let test_matching_perfect () =
-  let edges = [ (0, 0); (0, 1); (1, 1); (2, 2) ] in
-  check_int "size" 3 (Matching.matching_size ~left:3 ~right:3 edges)
-
-let test_matching_augmenting () =
-  (* requires an augmenting flip: 0-(0), 1-(0),(1) *)
-  let edges = [ (0, 0); (1, 0); (1, 1) ] in
-  check_int "size 2" 2 (Matching.matching_size ~left:2 ~right:2 edges)
-
-let test_matching_empty () =
-  check_int "empty" 0 (Matching.matching_size ~left:3 ~right:3 [])
-
-let test_matching_valid_pairs () =
-  let edges = [ (0, 1); (1, 0); (2, 1); (0, 2) ] in
-  let pairs = Matching.max_matching ~left:3 ~right:3 edges in
-  List.iter (fun (l, r) -> check "pair is an edge" true (List.mem (l, r) edges)) pairs;
-  let ls = List.map fst pairs and rs = List.map snd pairs in
-  check "left distinct" true (List.length ls = List.length (List.sort_uniq compare ls));
-  check "right distinct" true (List.length rs = List.length (List.sort_uniq compare rs))
-
 let () =
   Alcotest.run "flow"
     [
@@ -397,9 +424,11 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_min_sum_paths_infeasible;
           Alcotest.test_case "huge k is bounded" `Quick test_huge_k_is_bounded;
           Alcotest.test_case "d^1 = bfs" `Quick test_dk_vs_bruteforce_small;
-          qtest "dk_profile = network reference" prop_dk_profile_matches_reference;
+          qtest "dk_profile = network reference" ~plain:prop_dk_profile_plain
+            ~augmented:prop_dk_profile_augmented;
           Alcotest.test_case "potentials witness" `Quick test_potentials_witness;
-          qtest "min_sum_paths = network reference" prop_min_sum_paths_matches_reference;
+          qtest "min_sum_paths = network reference" ~plain:prop_min_sum_paths_plain
+            ~augmented:prop_min_sum_paths_augmented;
         ] );
       ( "connectivity",
         [
@@ -412,12 +441,5 @@ let () =
           Alcotest.test_case "cut vertices barbell" `Quick test_cut_vertices_barbell;
           Alcotest.test_case "cut vertices = removal test" `Quick test_cut_vertices_match_removal;
           Alcotest.test_case "bridges" `Quick test_bridges;
-        ] );
-      ( "matching",
-        [
-          Alcotest.test_case "perfect" `Quick test_matching_perfect;
-          Alcotest.test_case "augmenting path" `Quick test_matching_augmenting;
-          Alcotest.test_case "empty" `Quick test_matching_empty;
-          Alcotest.test_case "valid pairs" `Quick test_matching_valid_pairs;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for the multicore construction path and the stretch
-   histogram. *)
+(* Tests for the multicore construction path, the multicore stretch
+   sweep and the stretch histogram. *)
 open Rs_graph
 open Rs_core
 
@@ -60,23 +60,42 @@ let test_parallel_empty_and_tiny () =
 let test_default_domains_positive () =
   check "positive" true (Sharded.default_domains () >= 1)
 
+(* The one stretch sweep against the old sequential sweep kept in
+   test/reference.ml, on random graphs and the five spanner families,
+   each intact and with a third of its edges dropped: the same answer
+   on any domain count, and the same violations in the same order. *)
 let test_parallel_verify_agrees () =
-  (* positive and negative cases, across domain counts *)
-  let g = big in
-  let good = Remote_spanner.low_stretch g ~eps:0.5 in
-  let bad = Edge_set.copy good in
-  (* break it: drop a third of its edges *)
   let rand = Rand.create 7 in
-  Edge_set.iter (fun u v -> if Rand.int rand 3 = 0 then Edge_set.remove bad u v) good;
+  let graphs = [ big; udg 137 150; Gen.erdos_renyi rand 120 0.05; small ] in
   List.iter
-    (fun d ->
-      check "good agrees" true
-        (Parallel.is_remote_spanner ~domains:d g good ~alpha:1.5 ~beta:0.0
-        = Verify.is_remote_spanner g good ~alpha:1.5 ~beta:0.0);
-      check "bad agrees" true
-        (Parallel.is_remote_spanner ~domains:d g bad ~alpha:1.5 ~beta:0.0
-        = Verify.is_remote_spanner g bad ~alpha:1.5 ~beta:0.0))
-    [ 1; 3; 6 ]
+    (fun g ->
+      List.iter
+        (fun h ->
+          let broken = Edge_set.copy h in
+          Edge_set.iter (fun u v -> if Rand.int rand 3 = 0 then Edge_set.remove broken u v) h;
+          List.iter
+            (fun h ->
+              List.iter
+                (fun (alpha, beta) ->
+                  let expected = Reference.is_remote_spanner g h ~alpha ~beta in
+                  List.iter
+                    (fun d ->
+                      check
+                        (Printf.sprintf "domains=%d agrees" d)
+                        expected
+                        (Verify.is_remote_spanner ~domains:d g h ~alpha ~beta))
+                    [ 1; 2; 3; 6 ];
+                  check "violations in order" true
+                    (Verify.remote_spanner_violations ~max_violations:50 g h ~alpha ~beta
+                    = Reference.remote_spanner_violations ~max_violations:50 g h ~alpha ~beta))
+                [ (1.0, 0.0); (1.5, 0.0); (2.0, -1.0) ])
+            [ h; broken ])
+        [ Remote_spanner.exact_distance g;
+          Remote_spanner.low_stretch g ~eps:0.5;
+          Remote_spanner.k_connecting g ~k:2;
+          Baseline.bfs_tree g ~root:0;
+          Baseline.full g ])
+    graphs
 
 (* ---------------------------------------------------------------- *)
 (* stretch histogram *)
