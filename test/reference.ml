@@ -7,6 +7,7 @@
    replaced (a fresh BFS of H_c per hop; a built min-cost-flow
    network per query, vertex-split or not; H_s built as a graph), and
    of the sequential stretch sweep that [Verify]'s per-source kernel
+   and the per-pair H_s rebuild that [Extensions.edge_repair]
    replaced. Everything reads the definitions word for word and
    favours clarity over speed: trees are hashtables, distances come
    from a full BFS. *)
@@ -323,6 +324,47 @@ let edge_dk_profile g ~kmax s t =
 let augmented g h u =
   let extra = Array.to_list (Graph.neighbors g u) |> List.map (fun v -> (u, v)) in
   Graph.make ~n:(Graph.n g) (List.rev_append extra (Edge_set.to_list h))
+
+(* ---- edge repair, checking each pair in a freshly built H_s ---- *)
+
+let edge_repair g ~k ~base =
+  let h = Edge_set.copy base in
+  let added = ref 0 in
+  let add_path p =
+    let rec loop = function
+      | a :: (b :: _ as rest) ->
+          if not (Edge_set.mem h a b) then begin
+            Edge_set.add h a b;
+            incr added
+          end;
+          loop rest
+      | [ _ ] | [] -> ()
+    in
+    loop p
+  in
+  let n = Graph.n g in
+  for s = 0 to n - 1 do
+    for t = 0 to n - 1 do
+      if s <> t && not (Graph.mem_edge g s t) then begin
+        let profile_g = Edge_disjoint.dk_profile g ~kmax:k s t in
+        let kmax_g = Array.length profile_g in
+        if kmax_g > 0 then begin
+          let hs = augmented g h s in
+          let profile_h = Edge_disjoint.dk_profile hs ~kmax:kmax_g s t in
+          for k' = 1 to kmax_g do
+            let violated =
+              Array.length profile_h < k' || profile_h.(k' - 1) > profile_g.(k' - 1)
+            in
+            if violated then
+              match Edge_disjoint.min_sum_paths g ~k:k' s t with
+              | Some paths -> List.iter add_path paths
+              | None -> ()
+          done
+        end
+      end
+    done
+  done;
+  (h, !added)
 
 (* ---- the sequential stretch sweep: two fresh BFS arrays per source ---- *)
 

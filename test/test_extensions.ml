@@ -114,14 +114,29 @@ let repair_cases =
     ("er18", Gen.erdos_renyi (Rand.create 5) 18 0.35);
     ("udg25", udg 9 25);
     ("grid34", Gen.grid 3 4);
-    ("theta35", Gen.theta 3 5) ]
+    ("theta35", Gen.theta 3 5);
+    (* two repairs here, the second shorter once the first is in H *)
+    ( "er13",
+      let rand = Rand.create 9 in
+      let n = 6 + Rand.int rand 10 in
+      Gen.erdos_renyi rand n (0.2 +. Rand.float rand 0.3) ) ]
 
+(* Sound, and edge for edge what checking every pair against a freshly
+   built H_s (test/reference.ml) repairs, from the spanner and from
+   nothing. *)
 let test_edge_repair_sound () =
   List.iter
     (fun (name, g) ->
       let h, _ = Extensions.edge_repair g ~k:2 ~base:(Remote_spanner.two_connecting g) in
       check (name ^ " (1,0) edge-2-connecting") true
-        (Verify.is_edge_k_connecting g h ~alpha:1.0 ~beta:0.0 ~k:2))
+        (Verify.is_edge_k_connecting g h ~alpha:1.0 ~beta:0.0 ~k:2);
+      List.iter
+        (fun base ->
+          let h, added = Extensions.edge_repair g ~k:2 ~base in
+          let h_ref, added_ref = Reference.edge_repair g ~k:2 ~base in
+          check_int (name ^ " added = reference") added_ref added;
+          check (name ^ " repaired H = reference") true (Edge_set.equal h_ref h))
+        [ Remote_spanner.two_connecting g; Edge_set.create g ])
     repair_cases
 
 let test_edge_repair_bowtie_adds_two () =
